@@ -2,7 +2,7 @@
 
 .PHONY: install test lint lint-program typecheck coverage bench bench-tables \
 	service-bench perf perf-large perf-compute perf-serve perf-workload \
-	tpch-smoke chaos fleet-chaos examples all clean
+	tpch-smoke perfbench-smoke chaos fleet-chaos examples all clean
 
 install:
 	pip install -e .
@@ -151,6 +151,15 @@ tpch-smoke:
 		tests/workloads/test_injection.py \
 		tests/properties/test_streaming_equivalence.py -q
 	@echo "tpch smoke clean"
+
+# The repository benchmark (perfbench/, BENCHMARK.json) as a smoke:
+# a short untraced run of each TPC-H workload.  It fails only on a
+# non-zero exit, i.e. when a correctness gate of the benchmark breaks
+# (manifest conformance, certified repairs); there are no timing
+# thresholds, since shared runners cannot hold any.
+perfbench-smoke:
+	timeout 300 python3 perfbench/run.py --workload tpch_repair --seconds 5 --trace 0
+	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 0
 
 examples:
 	for script in examples/*.py; do \

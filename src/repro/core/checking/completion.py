@@ -26,6 +26,14 @@ the facts conflicting with it.  This module implements:
 * :func:`brute_force_completion_check` — the definitional test by
   enumeration of total completions (heavily exponential; tests only).
 
+The construction and the object-path check share one eligibility
+frontier (:class:`_Frontier`): each fact counts its forced dominators
+still remaining, and a fact is eligible once its count reaches 0.
+Past the forced-dominator closure itself, a construction costs one
+``str`` sort of the facts plus work linear in facts, forced-dominator
+edges and conflict edges, with ``bisect`` upkeep on the rank-sorted
+eligible list.  The check needs no order, so it skips the sort.
+
 The classical (conflict-only) setting is assumed throughout, matching
 Staworko et al.'s definitions; ccp instances are rejected.
 """
@@ -33,6 +41,7 @@ Staworko et al.'s definitions; ccp instances are rejected.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from itertools import product
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -56,6 +65,96 @@ __all__ = [
 _METHOD = "greedy-simulation"
 
 
+class _Frontier:
+    """The facts a greedy run may pick next, kept current per commit.
+
+    Facts are ranked by their position in ``facts``.  ``dominated[r]``
+    lists the ranks every completion must place below rank ``r`` (see
+    :func:`_forced_dominators`); each rank counts in ``blockers`` its
+    forced dominators still in ``remaining``, and ``eligible`` lists, in
+    ascending order, the remaining ranks whose count is 0.  Over a whole
+    run, :meth:`commit` touches each conflict and forced-dominator edge
+    a bounded number of times.
+    """
+
+    def __init__(
+        self, prioritizing: PrioritizingInstance, facts: List[Fact]
+    ) -> None:
+        rank = {fact: index for index, fact in enumerate(facts)}
+        adjacency = prioritizing.conflict_index.adjacency()
+        successors: List[List[int]] = [[] for _ in facts]
+        for better, worse in prioritizing.priority.edges:
+            successors[rank[better]].append(rank[worse])
+        dominated: List[List[int]] = [[] for _ in facts]
+        blockers = [0] * len(facts)
+        for ancestor, direct in enumerate(successors):
+            if not direct:
+                continue
+            # Forward DFS: every rank reachable from `ancestor` along ≻
+            # edges that also conflicts with it is forced below it.
+            conflicts = adjacency[facts[ancestor]]
+            stack = list(direct)
+            seen: Set[int] = set()
+            while stack:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                if facts[node] in conflicts:
+                    dominated[ancestor].append(node)
+                    blockers[node] += 1
+                stack.extend(successors[node])
+        self.facts = facts
+        self.rank = rank
+        self.adjacency = adjacency
+        self.dominated = dominated
+        self.blockers = blockers
+        self.remaining = [True] * len(facts)
+        self.eligible = [
+            index for index, count in enumerate(blockers) if not count
+        ]
+
+    def commit(self, pick: int) -> List[int]:
+        """Retire ``pick`` and its remaining conflict neighbours.
+
+        Returns the ranks whose last remaining forced dominator just
+        left, i.e. the ones this commit made eligible.
+        """
+        remaining, eligible, blockers = (
+            self.remaining, self.eligible, self.blockers
+        )
+        left = [pick]
+        neighbours = self.adjacency[self.facts[pick]]
+        left.extend(
+            other for other in map(self.rank.__getitem__, neighbours)
+            if remaining[other]
+        )
+        for index in left:
+            remaining[index] = False
+            position = bisect_left(eligible, index)
+            if position < len(eligible) and eligible[position] == index:
+                del eligible[position]
+        freed: List[int] = []
+        for index in left:
+            for worse in self.dominated[index]:
+                blockers[worse] -= 1
+                if not blockers[worse] and remaining[worse]:
+                    insort(eligible, worse)
+                    freed.append(worse)
+        return freed
+
+    def blocker_of(self, index: int) -> Fact:
+        """The ``str``-least remaining forced dominator of rank ``index``."""
+        return min(
+            (
+                self.facts[better]
+                for better, worse in enumerate(self.dominated)
+                if self.remaining[better] and index in worse
+            ),
+            key=str,
+        )
+
+
 def _forced_dominators(
     prioritizing: PrioritizingInstance,
 ) -> "dict[Fact, FrozenSet[Fact]]":
@@ -73,28 +172,15 @@ def _forced_dominators(
 
     Non-conflicting closure ancestors do *not* dominate: completions
     only add edges between conflicting facts, so they never become
-    direct ≻'-edges.
+    direct ≻'-edges.  The closure itself is computed in rank space by
+    :class:`_Frontier`; this is its fact-keyed view.
     """
-    adjacency: "dict[Fact, Set[Fact]]" = {}
-    for better, worse in prioritizing.priority.edges:
-        adjacency.setdefault(better, set()).add(worse)
-    conflicts = prioritizing.conflict_index.adjacency()
-    dominators: "dict[Fact, Set[Fact]]" = {
-        fact: set() for fact in prioritizing.instance.facts
-    }
-    for ancestor in adjacency:
-        # Forward DFS: every fact reachable from `ancestor` along ≻
-        # edges that also conflicts with it is forced below it.
-        stack = list(adjacency[ancestor])
-        seen: Set[Fact] = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in conflicts[ancestor]:
-                dominators[node].add(ancestor)
-            stack.extend(adjacency.get(node, ()))
+    facts = list(prioritizing.instance.facts)
+    frontier = _Frontier(prioritizing, facts)
+    dominators: "dict[Fact, Set[Fact]]" = {fact: set() for fact in facts}
+    for better, worse_ranks in zip(facts, frontier.dominated):
+        for worse in worse_ranks:
+            dominators[facts[worse]].add(better)
     return {fact: frozenset(doms) for fact, doms in dominators.items()}
 
 
@@ -217,34 +303,29 @@ def check_completion_optimal(
     failure = precheck(prioritizing, candidate, "completion", _METHOD)
     if failure is not None:
         return failure
-    adjacency = prioritizing.conflict_index.adjacency()
-    dominators = _forced_dominators(prioritizing)
-    remaining: Set[Fact] = set(prioritizing.instance.facts)
-    to_pick: Set[Fact] = set(candidate.facts)
-    while to_pick:
-        pick = next(
-            (
-                fact
-                for fact in to_pick
-                if dominators[fact].isdisjoint(remaining)
-            ),
-            None,
-        )
-        if pick is None:
-            blocked = next(iter(to_pick))
-            dominator = next(iter(dominators[blocked] & remaining))
-            return CheckResult(
-                is_optimal=False,
-                semantics="completion",
-                method=_METHOD,
-                reason=(
-                    f"no greedy run yields the candidate: {blocked} stays "
-                    f"dominated by the un-discarded {dominator}"
-                ),
-            )
+    frontier = _Frontier(prioritizing, list(prioritizing.instance.facts))
+    to_pick = {frontier.rank[fact] for fact in candidate.facts}
+    # Commits of conflict-free candidate facts never retire another
+    # candidate fact, so each one turns ready exactly once.
+    ready = [index for index in to_pick if not frontier.blockers[index]]
+    while ready:
+        pick = ready.pop()
         to_pick.discard(pick)
-        remaining.discard(pick)
-        remaining -= adjacency[pick]
+        ready.extend(
+            index for index in frontier.commit(pick) if index in to_pick
+        )
+    if to_pick:
+        blocked = min(to_pick, key=lambda index: str(frontier.facts[index]))
+        return CheckResult(
+            is_optimal=False,
+            semantics="completion",
+            method=_METHOD,
+            reason=(
+                f"no greedy run yields the candidate: "
+                f"{frontier.facts[blocked]} stays dominated by the "
+                f"un-discarded {frontier.blocker_of(blocked)}"
+            ),
+        )
     # With all of the candidate committed, maximality (checked by
     # precheck) guarantees every leftover fact conflicted with a commit,
     # so the greedy run ends exactly at the candidate.
@@ -255,25 +336,24 @@ def greedy_completion_repair(
     prioritizing: PrioritizingInstance,
     rng: Optional[random.Random] = None,
 ) -> Instance:
-    """One greedy run: a (randomly chosen) completion-optimal repair."""
+    """One greedy run: a (randomly chosen) completion-optimal repair.
+
+    Each pick is ``rng.choice`` over the eligible facts in ``str``
+    order, so the repair depends only on the inputs and the state of
+    ``rng`` — never on hash seeds or set iteration order.
+    """
     _reject_ccp(prioritizing)
     rng = rng or random.Random(0)
-    adjacency = prioritizing.conflict_index.adjacency()
-    dominators = _forced_dominators(prioritizing)
-    remaining: Set[Fact] = set(prioritizing.instance.facts)
-    chosen: Set[Fact] = set()
-    while remaining:
-        eligible = [
-            fact
-            for fact in remaining
-            if dominators[fact].isdisjoint(remaining)
-        ]
-        # An acyclic relation restricted to a non-empty finite set always
-        # has a maximal element, so `eligible` is never empty.
-        pick = rng.choice(sorted(eligible, key=str))
-        chosen.add(pick)
-        remaining.discard(pick)
-        remaining -= adjacency[pick]
+    frontier = _Frontier(
+        prioritizing, sorted(prioritizing.instance.facts, key=str)
+    )
+    chosen: List[Fact] = []
+    # An acyclic relation restricted to a non-empty finite set always
+    # has a maximal element, so `eligible` empties only with `remaining`.
+    while frontier.eligible:
+        pick = rng.choice(frontier.eligible)
+        chosen.append(frontier.facts[pick])
+        frontier.commit(pick)
     return prioritizing.instance.subinstance(chosen)
 
 
