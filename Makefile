@@ -153,13 +153,15 @@ tpch-smoke:
 	@echo "tpch smoke clean"
 
 # The repository benchmark (perfbench/, BENCHMARK.json) as a smoke:
-# a short untraced run of each TPC-H workload.  It fails only on a
-# non-zero exit, i.e. when a correctness gate of the benchmark breaks
-# (manifest conformance, certified repairs); there are no timing
-# thresholds, since shared runners cannot hold any.
+# a short untraced run of each TPC-H workload, plus a traced tpch_load
+# run (it imports the loader's encoders).  It fails only on a non-zero
+# exit, i.e. when a correctness gate of the benchmark breaks (manifest
+# conformance, certified repairs) or an import does; there are no
+# timing thresholds, since shared runners cannot hold any.
 perfbench-smoke:
 	timeout 300 python3 perfbench/run.py --workload tpch_repair --seconds 5 --trace 0
 	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 0
+	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 1
 
 examples:
 	for script in examples/*.py; do \

@@ -11,15 +11,22 @@ that cap for the load path:
   CSV) into one sqlite table per relation, with set semantics (a
   primary key over all value columns + ``INSERT OR IGNORE``) matching
   ``Instance``'s frozenset exactly;
-* every value is stored in a canonical JSON encoding (type-faithful
-  for the JSON scalars: ``1`` and ``"1"`` stay distinct) next to a
-  precomputed ``str(fact)`` sort key, so every scan — and therefore
-  every downstream id assignment — is deterministic and identical to
-  the in-memory ``sorted(..., key=str)`` order;
+* every value is stored **once, in its native sqlite type**: the key
+  columns carry no type affinity, so a ``str``, an int64, or a finite
+  float is bound as it is and sqlite's own comparisons agree with
+  Python's (``1 == 1.0``, ``1 != "1"``).  Values sqlite cannot hold
+  faithfully — bools, ``None``, nan, infinities, ``-0.0``, integers
+  beyond int64 — are keyed by an equality-preserving stand-in, and
+  their row keeps its exact values in a JSON ``tags`` column that scans
+  decode instead;
+* each row also stores a precomputed ``str(fact)`` sort key, so every
+  scan — and therefore every downstream id assignment — is
+  deterministic and identical to the in-memory ``sorted(..., key=str)``
+  order;
 * **consistency and conflicts are computed in SQL**: per FD, a
-  ``GROUP BY`` over the left-hand-side columns with a
-  ``COUNT(DISTINCT rhs)`` detects violating groups without
-  materializing a single :class:`Fact`;
+  ``GROUP BY lhs HAVING COUNT(*) > 1`` over ``SELECT DISTINCT lhs, rhs``
+  detects violating groups without materializing a single
+  :class:`Fact`;
 * only the **conflict kernel** — the facts participating in at least
   one conflict — is ever materialized at scale.  Facts outside every
   conflict belong to every repair and cannot affect any optimality
@@ -40,10 +47,13 @@ across chunk sizes.
 
 from __future__ import annotations
 
+import csv
 import json
 import sqlite3
+from math import copysign
 from pathlib import Path
 from typing import (
+    IO,
     Any,
     Callable,
     Dict,
@@ -77,21 +87,26 @@ __all__ = [
 #: same closure the wire protocol and the journal accept.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
-#: Joins encoded rhs columns into one group expression.  json.dumps
-#: with ensure_ascii=True escapes every control character, so the unit
-#: separator can never occur inside an encoded value.
-_RHS_SEPARATOR = "\x1f"
-
 DEFAULT_CHUNK_SIZE = 8192
+
+#: ``PRAGMA user_version`` of a store file in this module's table
+#: layout.  The dual-encoding layout that preceded it never stamped the
+#: pragma, so its files read 0.
+LAYOUT_VERSION = 2
+
+#: Integers and finite floats in the open range ``(-2**63, 2**63)``
+#: are bound natively.  Leaving out ``-2**63`` itself, though it fits
+#: int64, keeps ``-2**63 == float(-2**63)`` on one (tagged) side.
+_INT64_BOUND = 2**63
+_FLOAT64_BOUND = float(2**63)
 
 
 def encode_value(value: Any) -> str:
-    """The type-faithful column encoding of one constant.
+    """The type-faithful JSON encoding of one constant.
 
-    This is the encoding scans decode back out; it distinguishes
-    ``1``/``1.0``/``True`` so the surviving fact keeps its exact
-    values.  Equality, deduplication, and FD grouping run on
-    :func:`canonical_value` instead.
+    It distinguishes ``1``/``1.0``/``True``, so decoding it gives back
+    the exact value; rows holding a value sqlite cannot store natively
+    keep their values in this encoding.
     """
     if not isinstance(value, _SCALAR_TYPES):
         raise UsageError(
@@ -111,12 +126,11 @@ def canonical_value(value: Any) -> str:
 
     Python's value equality crosses the numeric types — ``0 == False``,
     ``1 == 1.0 == True`` — and :class:`Fact` equality (hence frozenset
-    deduplication and conflict detection) inherits it.  The SQL side
-    must agree, so primary keys and FD ``GROUP BY`` columns hold this
-    encoding: every bool and every integral float collapses onto its
-    ``int`` equal (exact — integral floats convert losslessly), while
-    strings, ``None``, and non-integral floats keep their
-    :func:`encode_value` form, which never collides with an int's.
+    deduplication and conflict detection) inherits it: every bool and
+    every integral float collapses onto its ``int`` equal (exact —
+    integral floats convert losslessly), while strings, ``None``, and
+    non-integral floats keep their :func:`encode_value` form, which
+    never collides with an int's.
     """
     if isinstance(value, bool):
         return json.dumps(int(value))
@@ -132,8 +146,69 @@ def fact_sort_key(relation: str, values: Sequence[Any]) -> str:
     (``sorted(..., key=str)``), precomputed at ingest so sqlite can
     ``ORDER BY`` it and hand back scans in interning order.
     """
-    inner = ", ".join(repr(value) for value in values)
-    return f"{relation}({inner})"
+    return f"{relation}({', '.join(map(repr, values))})"
+
+
+def _key_cell(value: Any) -> Any:
+    """The key-column cell of a scalar, equal in sqlite iff equal in Python.
+
+    A bool keys as its int and ``-0.0`` as ``0``, so they collide with
+    their numeric equals.  ``None``, nan, the infinities, and integers
+    (or integral floats) outside int64 key as ``bytes``: a BLOB never
+    compares equal to TEXT, INTEGER, or REAL, so the stand-ins cannot
+    collide with a bound value.  All nans key alike, so they collapse
+    to one value.  A string that UTF-8 cannot encode (a lone surrogate)
+    cannot be bound as TEXT and keys as its surrogate-passing bytes.
+    """
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return b"s" + value.encode("utf-8", "surrogatepass")
+        return str(value)
+    if isinstance(value, int):
+        if -_INT64_BOUND < value < _INT64_BOUND:
+            return int(value)
+        return b"i%d" % value
+    if isinstance(value, float):
+        if -_FLOAT64_BOUND < value < _FLOAT64_BOUND:
+            return float(value) if value else 0
+        if value.is_integer():
+            return b"i%d" % int(value)
+        return b"f" + repr(value).encode()
+    return b"n"
+
+
+def _tagged_row(skey: str, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """An insert row whose ``tags`` column keeps the exact values."""
+    tags = f"[{', '.join(map(encode_value, values))}]"
+    return (skey, *map(_key_cell, values), tags)
+
+
+def _decode(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """The exact values of a scanned ``(key cells..., tags)`` row."""
+    tags = row[-1]
+    if tags is None:
+        return row[:-1]
+    return tuple(json.loads(tags))
+
+
+def _first_undecodable_line(path: Union[str, Path]) -> int:
+    """The 1-based line of a file's first UTF-8 decoding error.
+
+    Text files decode in blocks, so the error itself carries no line;
+    a multi-byte sequence never spans a newline, so decoding line by
+    line finds the same error.
+    """
+    with open(path, "rb") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_number
+    return 0
 
 
 def _table(relation: str) -> str:
@@ -141,13 +216,8 @@ def _table(relation: str) -> str:
 
 
 def _columns(arity: int) -> List[str]:
-    """The canonical-encoding columns (keys, grouping, equality)."""
+    """The key columns, one per attribute."""
     return [f"c{i}" for i in range(1, arity + 1)]
-
-
-def _value_columns(arity: int) -> List[str]:
-    """The type-faithful columns (what scans decode back out)."""
-    return [f"v{i}" for i in range(1, arity + 1)]
 
 
 class StreamingInstanceStore:
@@ -188,36 +258,52 @@ class StreamingInstanceStore:
         self._schema = schema
         self._path = str(path)
         self._chunk_size = chunk_size
+        self._arity = {
+            symbol.name: symbol.arity for symbol in schema.signature
+        }
         try:
             self._connection = sqlite3.connect(self._path)
+            try:
+                self._create_tables()
+            except BaseException:
+                self._connection.close()
+                raise
         except sqlite3.Error as exc:
             raise ReproError(
                 f"cannot open streaming store at {self._path!r}: {exc}"
             ) from exc
+
+    def _create_tables(self) -> None:
+        connection = self._connection
         # The store is an analysis scratch space, not a system of
         # record: crash durability buys nothing here, write speed does.
-        self._connection.execute("PRAGMA journal_mode = MEMORY")
-        self._connection.execute("PRAGMA synchronous = OFF")
-        self._arity = {
-            symbol.name: symbol.arity for symbol in schema.signature
-        }
+        connection.execute("PRAGMA journal_mode = MEMORY")
+        connection.execute("PRAGMA synchronous = OFF")
+        version = connection.execute("PRAGMA user_version").fetchone()[0]
+        if version != LAYOUT_VERSION:
+            if version or connection.execute(
+                "SELECT 1 FROM sqlite_master LIMIT 1"
+            ).fetchone():
+                raise ReproError(
+                    f"streaming store {self._path!r} has table layout "
+                    f"version {version}, this loader reads version "
+                    f"{LAYOUT_VERSION}; remove the file or pass another "
+                    f"path"
+                )
+            connection.execute(f"PRAGMA user_version = {LAYOUT_VERSION}")
         for name in sorted(self._arity):
             columns = _columns(self._arity[name])
-            value_columns = _value_columns(self._arity[name])
-            column_spec = ", ".join(
-                f"{c} TEXT NOT NULL" for c in columns + value_columns
-            )
-            # The primary key spans the *canonical* columns, so sqlite
-            # deduplicates by Python value equality (0 == False,
-            # 1 == 1.0) exactly as frozenset construction would; the
-            # v-columns keep the first-inserted row's faithful values,
-            # matching which representative a set insert keeps.
-            self._connection.execute(
+            key_spec = ", ".join(f"{c} NOT NULL" for c in columns)
+            # The key columns have no type affinity, so sqlite keeps
+            # every value as bound and compares them as Python does
+            # (1 == 1.0, 1 != "1"); INSERT OR IGNORE on the key keeps
+            # the first-inserted representative, as a set insert would.
+            connection.execute(
                 f'CREATE TABLE IF NOT EXISTS "{_table(name)}" '
-                f"(skey TEXT NOT NULL, {column_spec}, "
+                f"(skey TEXT NOT NULL, {key_spec}, tags TEXT, "
                 f"PRIMARY KEY ({', '.join(columns)})) WITHOUT ROWID"
             )
-        self._connection.commit()
+        connection.commit()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -261,20 +347,27 @@ class StreamingInstanceStore:
         is bounded by ``chunk_size``, never by the stream length.
         """
         arity = self._require_relation(relation)
-        columns = _columns(arity) + _value_columns(arity)
         statement = (
             f'INSERT OR IGNORE INTO "{_table(relation)}" '
-            f"(skey, {', '.join(columns)}) "
-            f"VALUES ({', '.join('?' * (2 * arity + 1))})"
+            f"VALUES ({', '.join('?' * (arity + 2))})"
         )
         connection = self._connection
-        inserted = 0
-        batch: List[Tuple[str, ...]] = []
+        before = connection.total_changes
+        batch: List[Tuple[Any, ...]] = []
 
-        def flush() -> int:
-            cursor = connection.executemany(statement, batch)
+        def flush() -> None:
+            try:
+                connection.executemany(statement, batch)
+            except UnicodeEncodeError:
+                # A lone surrogate cannot be bound as TEXT: replay the
+                # batch with every row tagged (rows already in are
+                # ignored by the key, as any duplicate is).
+                connection.executemany(
+                    statement,
+                    [row if row[-1] else _tagged_row(row[0], row[1:-1])
+                     for row in batch],
+                )
             batch.clear()
-            return cursor.rowcount
 
         for row in rows:
             values = tuple(row)
@@ -283,17 +376,29 @@ class StreamingInstanceStore:
                     f"relation {relation!r} has arity {arity}, got a row "
                     f"of width {len(values)}: {values!r}"
                 )
-            batch.append(
-                (fact_sort_key(relation, values),)
-                + tuple(canonical_value(value) for value in values)
-                + tuple(encode_value(value) for value in values)
-            )
+            skey = fact_sort_key(relation, values)
+            for value in values:
+                kind = type(value)
+                if kind is str:
+                    continue
+                if kind is int:
+                    if -_INT64_BOUND < value < _INT64_BOUND:
+                        continue
+                elif kind is float:
+                    if -_FLOAT64_BOUND < value < _FLOAT64_BOUND and (
+                        value or copysign(1.0, value) > 0
+                    ):
+                        continue
+                batch.append(_tagged_row(skey, values))
+                break
+            else:
+                batch.append((skey, *values, None))
             if len(batch) >= self._chunk_size:
-                inserted += flush()
+                flush()
         if batch:
-            inserted += flush()
+            flush()
         connection.commit()
-        return inserted
+        return connection.total_changes - before
 
     def ingest_tbl(
         self,
@@ -305,42 +410,18 @@ class StreamingInstanceStore:
 
         ``converters`` restores column types (default: keep strings).
         """
-        arity = self._require_relation(relation)
-        if converters is not None and len(converters) != arity:
-            raise UsageError(
-                f"got {len(converters)} converters for relation "
-                f"{relation!r} of arity {arity}"
-            )
 
-        def typed_rows() -> Iterator[Tuple[Any, ...]]:
-            with open(path, newline="") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    cells = line.split("|")
-                    if cells and cells[-1] == "":
-                        cells = cells[:-1]
-                    if len(cells) != arity:
-                        raise UsageError(
-                            f"{path}:{line_number}: expected {arity} "
-                            f"columns for {relation!r}, got {len(cells)}"
-                        )
-                    if converters is None:
-                        yield tuple(cells)
-                        continue
-                    try:
-                        yield tuple(
-                            convert(cell)
-                            for convert, cell in zip(converters, cells)
-                        )
-                    except (TypeError, ValueError) as exc:
-                        raise UsageError(
-                            f"{path}:{line_number}: cannot convert row: "
-                            f"{exc}"
-                        ) from exc
+        def records(handle: IO[str]) -> Iterator[Tuple[int, List[str]]]:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cells = line.split("|")
+                if cells[-1] == "":
+                    cells.pop()
+                yield line_number, cells
 
-        return self.ingest_rows(relation, typed_rows())
+        return self._ingest_file(relation, path, converters, records)
 
     def ingest_csv(
         self,
@@ -353,8 +434,32 @@ class StreamingInstanceStore:
         """Ingest a CSV export, mirroring
         :func:`repro.engine.csv_loader.load_csv`'s conventions but in
         bounded memory."""
-        import csv as csv_module
 
+        def records(handle: IO[str]) -> Iterator[Tuple[int, List[str]]]:
+            reader = csv.reader(handle, delimiter=delimiter)
+            try:
+                for row_number, cells in enumerate(reader):
+                    if has_header and row_number == 0:
+                        continue
+                    if not cells or all(not c.strip() for c in cells):
+                        continue
+                    yield reader.line_num, cells
+            except csv.Error as exc:
+                raise UsageError(
+                    f"{path}:{reader.line_num}: malformed CSV: {exc}"
+                ) from exc
+
+        return self._ingest_file(relation, path, converters, records)
+
+    def _ingest_file(
+        self,
+        relation: str,
+        path: Union[str, Path],
+        converters: Optional[Sequence[Callable[[str], Any]]],
+        records: Callable[[IO[str]], Iterator[Tuple[int, List[str]]]],
+    ) -> int:
+        """Ingest the ``(line number, cells)`` records of a UTF-8 text
+        file; malformed input of any kind raises :class:`UsageError`."""
         arity = self._require_relation(relation)
         if converters is not None and len(converters) != arity:
             raise UsageError(
@@ -363,31 +468,38 @@ class StreamingInstanceStore:
             )
 
         def typed_rows() -> Iterator[Tuple[Any, ...]]:
-            with open(path, newline="") as handle:
-                reader = csv_module.reader(handle, delimiter=delimiter)
-                for row_number, cells in enumerate(reader):
-                    if has_header and row_number == 0:
-                        continue
-                    if not cells or all(not c.strip() for c in cells):
-                        continue
-                    if len(cells) != arity:
-                        raise UsageError(
-                            f"{path}:{row_number + 1}: expected {arity} "
-                            f"columns for {relation!r}, got {len(cells)}"
-                        )
-                    if converters is None:
-                        yield tuple(cells)
-                        continue
-                    try:
-                        yield tuple(
-                            convert(cell)
-                            for convert, cell in zip(converters, cells)
-                        )
-                    except (TypeError, ValueError) as exc:
-                        raise UsageError(
-                            f"{path}:{row_number + 1}: cannot convert "
-                            f"row: {exc}"
-                        ) from exc
+            try:
+                with open(path, newline="", encoding="utf-8") as handle:
+                    for line_number, cells in records(handle):
+                        if len(cells) != arity:
+                            raise UsageError(
+                                f"{path}:{line_number}: expected {arity} "
+                                f"columns for {relation!r}, got "
+                                f"{len(cells)}"
+                            )
+                        if converters is None:
+                            yield tuple(cells)
+                            continue
+                        try:
+                            yield tuple(
+                                convert(cell)
+                                for convert, cell in zip(converters, cells)
+                            )
+                        except (TypeError, ValueError) as exc:
+                            raise UsageError(
+                                f"{path}:{line_number}: cannot convert "
+                                f"row: {exc}"
+                            ) from exc
+            except UnicodeDecodeError as exc:
+                raise UsageError(
+                    f"{path}:{_first_undecodable_line(path)}: not valid "
+                    f"UTF-8 ({exc.reason})"
+                ) from exc
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot read {relation!r} rows from {path}: "
+                    f"{exc.strerror or exc}"
+                ) from exc
 
         return self.ingest_rows(relation, typed_rows())
 
@@ -408,28 +520,29 @@ class StreamingInstanceStore:
             total += row[0]
         return total
 
-    def _iter_decoded(
-        self, relation: str, chunk_size: Optional[int] = None
+    def _iter_scan(
+        self, query: str, chunk_size: Optional[int] = None
     ) -> Iterator[Tuple[Any, ...]]:
-        arity = self._arity[relation]
-        columns = ", ".join(_value_columns(arity))
-        cursor = self._connection.execute(
-            f'SELECT {columns} FROM "{_table(relation)}" ORDER BY skey'
-        )
+        """Decoded rows of a ``SELECT c1…cn, tags`` query, fetched in
+        chunks."""
+        cursor = self._connection.execute(query)
         size = chunk_size or self._chunk_size
         while True:
             chunk = cursor.fetchmany(size)
             if not chunk:
                 return
-            for encoded in chunk:
-                yield tuple(decode_value(cell) for cell in encoded)
+            yield from map(_decode, chunk)
 
     def iter_rows(
         self, relation: str, chunk_size: Optional[int] = None
     ) -> Iterator[Tuple[Any, ...]]:
         """Stream one relation's rows in deterministic (``str``) order."""
-        self._require_relation(relation)
-        return self._iter_decoded(relation, chunk_size)
+        columns = ", ".join(_columns(self._require_relation(relation)))
+        return self._iter_scan(
+            f'SELECT {columns}, tags FROM "{_table(relation)}" '
+            f"ORDER BY skey",
+            chunk_size,
+        )
 
     def iter_facts(
         self,
@@ -449,18 +562,29 @@ class StreamingInstanceStore:
         else:
             names = sorted(self._arity)
         for name in names:
-            for values in self._iter_decoded(name, chunk_size):
+            for values in self.iter_rows(name, chunk_size):
                 yield Fact(name, values)
 
     # -- SQL-side consistency and conflicts ----------------------------------
 
-    def _fd_sql_parts(self, fd: FD) -> Tuple[str, str]:
-        """``(lhs column list, rhs group expression)`` for one FD."""
+    def _violating_groups_sql(self, fd: FD) -> str:
+        """A query whose rows witness ``fd``'s violating groups.
+
+        For ``X → Y`` it yields the ``X`` of every group holding two
+        distinct ``Y`` values; for ``∅ → Y`` it yields one row per
+        distinct ``Y`` value, at most two.  Grouping runs on the native
+        key cells, so ``1`` and ``1.0`` are one value, as in Python.
+        """
+        table = _table(fd.relation)
         lhs = ", ".join(f"c{p}" for p in fd.lhs_sorted)
-        rhs = f" || '{_RHS_SEPARATOR}' || ".join(
-            f"c{p}" for p in fd.rhs_sorted
+        rhs = ", ".join(f"c{p}" for p in fd.rhs_sorted if p not in fd.lhs)
+        if not lhs:
+            return f'SELECT DISTINCT {rhs} FROM "{table}" LIMIT 2'
+        return (
+            f"SELECT {lhs} FROM "
+            f'(SELECT DISTINCT {lhs}, {rhs} FROM "{table}") '
+            f"GROUP BY {lhs} HAVING COUNT(*) > 1"
         )
-        return lhs, rhs
 
     def _nontrivial_fds(self) -> List[FD]:
         return sorted(
@@ -472,19 +596,13 @@ class StreamingInstanceStore:
         if fd.is_trivial():
             return 0
         self._require_relation(fd.relation)
-        lhs, rhs = self._fd_sql_parts(fd)
-        if not lhs:
-            # Constant-attribute FD ∅ → B: one global group.
-            row = self._connection.execute(
-                f'SELECT COUNT(DISTINCT {rhs}) FROM "{_table(fd.relation)}"'
-            ).fetchone()
-            return 1 if row[0] > 1 else 0
-        row = self._connection.execute(
-            f"SELECT COUNT(*) FROM ("
-            f'SELECT 1 FROM "{_table(fd.relation)}" '
-            f"GROUP BY {lhs} HAVING COUNT(DISTINCT {rhs}) > 1)"
+        (count,) = self._connection.execute(
+            f"SELECT COUNT(*) FROM ({self._violating_groups_sql(fd)})"
         ).fetchone()
-        return row[0]
+        if not fd.lhs:
+            # Constant-attribute FD ∅ → B: one global group.
+            return 1 if count > 1 else 0
+        return count
 
     def is_consistent(self) -> bool:
         """Whether the stored instance satisfies every schema FD —
@@ -503,34 +621,18 @@ class StreamingInstanceStore:
         if fd.is_trivial():
             return
         self._require_relation(fd.relation)
-        arity = self._arity[fd.relation]
-        columns = ", ".join(_value_columns(arity))
-        lhs, rhs = self._fd_sql_parts(fd)
-        table = _table(fd.relation)
-        if not lhs:
-            query = (
-                f'SELECT {columns} FROM "{table}" '
-                f"WHERE (SELECT COUNT(DISTINCT {rhs}) "
-                f'FROM "{table}") > 1 ORDER BY skey'
-            )
+        columns = ", ".join(_columns(self._arity[fd.relation]))
+        groups = self._violating_groups_sql(fd)
+        if fd.lhs:
+            lhs = ", ".join(f"c{p}" for p in fd.lhs_sorted)
+            where = f"({lhs}) IN ({groups})"
         else:
-            query = (
-                f'SELECT {columns} FROM "{table}" '
-                f"WHERE ({lhs}) IN ("
-                f'SELECT {lhs} FROM "{table}" '
-                f"GROUP BY {lhs} HAVING COUNT(DISTINCT {rhs}) > 1) "
-                f"ORDER BY skey"
-            )
-        cursor = self._connection.execute(query)
-        while True:
-            chunk = cursor.fetchmany(self._chunk_size)
-            if not chunk:
-                return
-            for encoded in chunk:
-                yield Fact(
-                    fd.relation,
-                    tuple(decode_value(cell) for cell in encoded),
-                )
+            where = f"(SELECT COUNT(*) FROM ({groups})) > 1"
+        for values in self._iter_scan(
+            f'SELECT {columns}, tags FROM "{_table(fd.relation)}" '
+            f"WHERE {where} ORDER BY skey"
+        ):
+            yield Fact(fd.relation, values)
 
     def conflict_kernel(self) -> Instance:
         """The sub-instance of facts participating in >= 1 conflict.

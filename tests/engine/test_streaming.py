@@ -3,13 +3,19 @@ scans, SQL-side conflict analysis, and kernel/index construction."""
 
 from __future__ import annotations
 
+import math
+import sqlite3
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Fact, Schema
 from repro.core.bitset_index import BitsetConflictIndex
 from repro.core.instance import Instance
 from repro.core.interning import FactInterner
 from repro.engine.streaming import (
+    LAYOUT_VERSION,
     StreamingInstanceStore,
     decode_value,
     encode_value,
@@ -19,9 +25,13 @@ from repro.exceptions import ReproError, UnknownRelationError, UsageError
 
 from tests.helpers import single_fd_schema
 
-#: Values that stress the cell encoding: the unit-separator concat
-#: character, quotes, unicode, numeric/string lookalikes, bools, None.
-TRICKY = [1, "1", 1.5, True, False, None, "", "a|b", "x\x1fy", 'q"\'\\', "é"]
+#: Values that stress the cell layout: a unit separator, quotes,
+#: unicode, numeric/string lookalikes, and the values sqlite cannot
+#: hold as bound (bools, None, -0.0, infinities, big integers).
+TRICKY = [
+    1, "1", 1.5, True, False, None, "", "a|b", "x\x1fy", 'q"\'\\', "é",
+    -0.0, math.inf, -math.inf, 2**70, -(2**63), float(2**64),
+]
 
 
 def two_relation_schema() -> Schema:
@@ -72,9 +82,9 @@ def test_global_scan_merges_relations_in_str_order():
 def test_tricky_values_roundtrip(store):
     rows = [(index, value) for index, value in enumerate(TRICKY)]
     store.ingest_rows("R", rows)
-    assert list(store.iter_rows("R")) == sorted(
-        rows, key=lambda row: fact_sort_key("R", row)
-    )
+    expected = sorted(rows, key=lambda row: fact_sort_key("R", row))
+    # repr tells -0.0 from 0.0 and True from 1: types survive too.
+    assert list(map(repr, store.iter_rows("R"))) == list(map(repr, expected))
     # 1 and "1" stay distinct facts.
     store.ingest_rows("R", [(99, 1), (99, "1")])
     assert store.fact_count("R") == len(rows) + 2
@@ -231,3 +241,154 @@ def test_constant_attribute_fd_consistency():
         kernel = store.conflict_kernel()
         assert len(kernel.facts) == 3
         assert len(store.conflict_pairs()) == 2
+
+
+def test_equal_values_of_different_types_collide_first_wins(store):
+    assert store.ingest_rows(
+        "R", [(1, True), (1, 1), (1.0, 1.0), (0, -0.0), (0, 0), (0.0, False)]
+    ) == 2
+    assert store.ingest_rows("R", [(2**70, "x"), (float(2**70), "x")]) == 1
+    rows = list(store.iter_rows("R"))
+    assert [tuple(map(type, row)) for row in rows] == [
+        (int, float), (int, bool), (int, str)
+    ]
+    assert repr(rows[0]) == "(0, -0.0)"
+
+
+def test_nans_collapse_to_one_value(store):
+    assert store.ingest_rows(
+        "R", [(math.nan, 1), (float("nan"), 1), (1, math.nan)]
+    ) == 2
+    store.ingest_rows("R", [(1, float("nan"))])
+    assert store.is_consistent()
+    store.ingest_rows("R", [(1, "nan")])
+    assert store.conflict_summary() == {"R: 1 -> 2": 1}
+
+
+def test_lone_surrogate_strings_are_stored_faithfully(store):
+    rows = [(1, "\ud800"), (1, "\ud800"), (2, "plain"), (1, "\udfff")]
+    assert store.ingest_rows("R", rows) == 3
+    assert sorted(store.iter_rows("R")) == sorted(set(rows))
+    assert store.conflict_summary() == {"R: 1 -> 2": 1}
+
+
+def test_fd_probes_group_numeric_equals(store):
+    # 1 and 1.0 are one rhs value; "1" is another.
+    store.ingest_rows("R", [(7, 1), (7, 1.0), (8, True), (8, 1)])
+    assert store.is_consistent()
+    store.ingest_rows("R", [(7, "1")])
+    assert store.conflict_summary() == {"R: 1 -> 2": 1}
+    assert set(store.conflict_kernel().facts) == {
+        Fact("R", (7, 1)), Fact("R", (7, "1"))
+    }
+
+
+def test_overlapping_lhs_and_rhs():
+    schema = Schema.parse({"T": 3}, ["T: 1 -> {1,2}"])
+    with StreamingInstanceStore(schema) as store:
+        store.ingest_rows("T", [(1, "a", 0), (1, "a", 1), (2, "b", 0)])
+        assert store.is_consistent()
+        store.ingest_rows("T", [(2, "c", 0)])
+        assert store.conflict_summary() == {"T: 1 -> {1,2}": 1}
+        assert len(store.conflict_kernel().facts) == 2
+
+
+def test_store_file_is_stamped_with_the_layout_version(tmp_path):
+    path = tmp_path / "store.sqlite"
+    StreamingInstanceStore(single_fd_schema(), path=path).close()
+    connection = sqlite3.connect(path)
+    try:
+        assert connection.execute(
+            "PRAGMA user_version"
+        ).fetchone() == (LAYOUT_VERSION,)
+    finally:
+        connection.close()
+
+
+def test_old_layout_store_file_is_refused(tmp_path):
+    path = tmp_path / "old.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute(
+        'CREATE TABLE "t_R" (skey TEXT NOT NULL, c1 TEXT NOT NULL, '
+        "c2 TEXT NOT NULL, v1 TEXT NOT NULL, v2 TEXT NOT NULL, "
+        "PRIMARY KEY (c1, c2)) WITHOUT ROWID"
+    )
+    connection.execute(
+        """INSERT INTO "t_R" VALUES ('R(1, ''a'')', '1', '"a"', '1', '"a"')"""
+    )
+    connection.commit()
+    connection.close()
+    with pytest.raises(ReproError, match="old.sqlite.*layout version 0"):
+        StreamingInstanceStore(single_fd_schema(), path=path)
+
+
+def test_newer_layout_version_is_refused(tmp_path):
+    path = tmp_path / "future.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute(f"PRAGMA user_version = {LAYOUT_VERSION + 1}")
+    connection.close()
+    with pytest.raises(ReproError, match="future.sqlite"):
+        StreamingInstanceStore(single_fd_schema(), path=path)
+
+
+def test_non_database_file_is_a_repro_error(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a database, just some text " * 40)
+    with pytest.raises(ReproError, match="notes.txt"):
+        StreamingInstanceStore(single_fd_schema(), path=path)
+
+
+#: Malformed files and the ``path:line`` each error must name.
+MALFORMED = [
+    ("tbl", b"1|a|\n2|\xff|\n", "bad.tbl:2: not valid UTF-8"),
+    ("csv", b"k,v\n1,a\n\n2,\xc3(\n", "bad.csv:4: not valid UTF-8"),
+    ("csv", b"k,v\n1," + b"x" * 131073 + b"\n", "bad.csv:2: malformed CSV"),
+    ("tbl", b"1|a|b|\n", "bad.tbl:1: expected 2 columns"),
+    ("csv", b"k,v\n\nx,a\n", "bad.csv:3: cannot convert"),
+]
+
+
+@pytest.mark.parametrize("kind, content, message", MALFORMED)
+def test_malformed_files_raise_usage_error(store, tmp_path, kind, content,
+                                           message):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(content)
+    ingest = store.ingest_tbl if kind == "tbl" else store.ingest_csv
+    with pytest.raises(UsageError, match=message):
+        ingest("R", path, (int, str))
+
+
+@pytest.mark.parametrize("kind", ["tbl", "csv"])
+def test_unreadable_path_raises_usage_error(store, tmp_path, kind):
+    ingest = store.ingest_tbl if kind == "tbl" else store.ingest_csv
+    with pytest.raises(UsageError, match="missing"):
+        ingest("R", tmp_path / f"missing.{kind}")
+    with pytest.raises(UsageError, match="Is a directory"):
+        ingest("R", tmp_path)
+
+
+@given(
+    st.binary(max_size=300)
+    | st.lists(
+        st.sampled_from(
+            [b"1", b"a", b"|", b",", b'"', b"\n", b"\r", b"\x00", b"\xff",
+             b"\xc3", b"\xa9", b"-", b".", b"e9", b"nan", b" "]
+        ),
+        max_size=60,
+    ).map(b"".join),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_bytes_raise_only_repro_errors(tmp_path_factory, content,
+                                              typed_columns):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(content)
+    converters = (int, str) if typed_columns else None
+    for ingest in ("ingest_tbl", "ingest_csv"):
+        with StreamingInstanceStore(single_fd_schema(), chunk_size=3) as s:
+            try:
+                getattr(s, ingest)("R", path, converters)
+            except ReproError:
+                continue
+            for row in s.iter_rows("R"):
+                assert len(row) == 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main, parse_schema_spec
-from repro.exceptions import UsageError
+from repro.exceptions import ReproError, UsageError
 
 
 class TestSchemaSpecParser:
@@ -96,6 +96,36 @@ class TestWorkloadCommand:
         repair_report = json.loads(capsys.readouterr().out)
         assert repair_report["certified_optimal"] is True
         assert repair_report["repair_is_all_trusted"] is True
+
+    def test_check_names_the_malformed_table_line(self, capsys, tmp_path):
+        out = tmp_path / "clean"
+        assert main(
+            ["workload", "generate", "--sf", "0.002", "--seed", "4",
+             "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        region = out / "region.tbl"
+        region.write_bytes(region.read_bytes() + b"9|\xff|x|\n")
+        lines = region.read_bytes().count(b"\n")
+        with pytest.raises(UsageError, match=f"region.tbl:{lines}: not valid"):
+            main(["workload", "check", str(out)])
+
+    def test_check_refuses_a_store_of_another_layout(self, capsys,
+                                                     tmp_path):
+        import sqlite3
+
+        out = tmp_path / "clean"
+        assert main(
+            ["workload", "generate", "--sf", "0.002", "--seed", "4",
+             "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        store = tmp_path / "old.sqlite"
+        connection = sqlite3.connect(store)
+        connection.execute("CREATE TABLE t_region (skey TEXT, c1 TEXT)")
+        connection.close()
+        with pytest.raises(ReproError, match="old.sqlite"):
+            main(["workload", "check", str(out), "--store", str(store)])
 
     def test_e2e_writes_json_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
