@@ -1,8 +1,8 @@
 # Convenience targets for the repro repository.
 
 .PHONY: install test lint lint-program typecheck coverage bench bench-tables \
-	service-bench perf perf-large perf-compute perf-serve perf-workload \
-	tpch-smoke perfbench-smoke chaos fleet-chaos examples all clean
+	service-bench tpch-smoke perfbench-smoke chaos fleet-chaos examples \
+	all clean
 
 install:
 	pip install -e .
@@ -83,48 +83,14 @@ fleet-chaos:
 		tests/server/test_fleet_e2e.py \
 		tests/server/test_client_retry.py -q
 
-# Core fast-path speedups vs the retained literal baselines, plus the
-# large-tier bitset-vs-object comparison; writes BENCH_core.json and
-# fails on regression vs the committed numbers.  QUICK=1 runs the
-# smallest workload per tier only (CI smoke).
-perf:
-	PYTHONPATH=src python benchmarks/bench_core_fastpaths.py $(if $(QUICK),--quick)
-
-# Large tier only (10^4-10^5 facts, columnar bitset backend vs the
-# object backend on the same checkers); merges its entries into
-# BENCH_core.json without touching the fast-path tier, and fails when
-# the bitset geomean speedup drops below 3x.
-perf-large:
-	PYTHONPATH=src python benchmarks/bench_core_fastpaths.py --tier large $(if $(QUICK),--quick)
-
-# Compute-layer fast paths (optimal-repair construction and entailment
-# counting) vs their enumeration baselines; writes BENCH_compute.json
-# and fails on regression vs the committed numbers.
-perf-compute:
-	PYTHONPATH=src python benchmarks/bench_compute.py $(if $(QUICK),--quick)
-
-# Serving-tier open-loop load: p50/p99 latency and saturation
-# throughput for a single daemon and a 2-worker fleet; writes
-# BENCH_serve.json and fails when saturation drops or base-rate p99
-# rises more than 25% vs the committed numbers.  QUICK=1 offers the
-# low rates only over short windows (CI smoke).
-perf-serve:
-	PYTHONPATH=src python benchmarks/bench_serve_load.py $(if $(QUICK),--quick)
-
-# TPC-H-scale workload pipeline: generation + injection + streaming
-# sqlite load, kernel indexing, and manifest-conformant checking at
-# two scale factors x two injection rates; writes BENCH_workload.json
-# and fails on >25% throughput regression vs the committed numbers or
-# on any manifest-conformance failure.  QUICK=1 runs the smallest
-# scale factor only (CI smoke).
-perf-workload:
-	PYTHONPATH=src python benchmarks/bench_tpch_workload.py $(if $(QUICK),--quick)
-
 # Workload smoke: the full CLI pipeline at a tiny scale factor
 # (generate -> inject at two rates -> check -> repair, every verdict
-# cross-checked against the injection manifest) plus the streaming
-# loader-equivalence suites.  Bounded by timeout so a wedged loader
-# cannot hang CI.
+# cross-checked against the injection manifest), one end-to-end run at
+# sf 1.0 (1.29 M facts streamed into an on-disk store; `workload e2e`
+# exits 1 unless the kernel's conflict pairs equal the injection
+# manifest and the all-trusted repair is certified optimal), plus the
+# streaming loader-equivalence suites.  Bounded by timeout so a wedged
+# loader cannot hang CI.
 tpch-smoke:
 	rm -rf /tmp/repro-tpch-smoke && mkdir -p /tmp/repro-tpch-smoke
 	PYTHONPATH=src timeout 120 python -m repro.cli workload generate \
@@ -145,6 +111,9 @@ tpch-smoke:
 		/tmp/repro-tpch-smoke/high > /dev/null
 	PYTHONPATH=src timeout 180 python -m repro.cli workload e2e \
 		--sf 0.01 --seed 5 --rate 0.02 > /dev/null
+	PYTHONPATH=src timeout 300 python -m repro.cli workload e2e \
+		--sf 1.0 --seed 7 --rate 0.01 \
+		--store /tmp/repro-tpch-smoke/sf1.db > /dev/null
 	PYTHONPATH=src timeout 300 python -m pytest \
 		tests/engine/test_streaming.py \
 		tests/workloads/test_tpch.py \

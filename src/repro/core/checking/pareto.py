@@ -91,7 +91,8 @@ def check_pareto_optimal_literal(
     :func:`precheck_fresh` and
     :func:`~repro.core.improvements.find_pareto_improvement_fresh`, both
     of which build throwaway conflict indexes on every invocation.
-    Retained as the ablation baseline for the perf harness.
+    Retained as the reference
+    ``tests/properties/test_fastpath_equivalence.py`` checks against.
     """
     failure = precheck_fresh(
         prioritizing, candidate, "pareto", _METHOD + "-literal"

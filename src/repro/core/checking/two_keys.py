@@ -380,7 +380,8 @@ def check_two_keys_literal(
     index per call: :func:`precheck_fresh` for the repair pre-checks,
     :func:`~repro.core.improvements.find_pareto_improvement_fresh` for
     step 1, and a swap-graph builder that re-sorts and re-slices every
-    projection.  Retained as the ablation baseline for the perf harness.
+    projection.  Retained as the reference
+    ``tests/properties/test_fastpath_equivalence.py`` checks against.
     """
     failure = precheck_fresh(
         prioritizing, candidate, "global", _METHOD + "-literal"

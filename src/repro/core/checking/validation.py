@@ -162,9 +162,10 @@ def precheck_fresh(
     Semantically identical to :func:`precheck` but builds a throwaway
     :class:`ConflictIndex` over the candidate (and another over ``I``
     for the maximality scan) on every invocation, exactly as the
-    checkers did before the shared-index fast path.  Retained as the
-    cost baseline the ``*_literal`` checkers and the perf harness
-    (``benchmarks/bench_core_fastpaths.py``) measure against.
+    checkers did before the shared-index fast path.  Retained for the
+    ``*_literal`` checkers, whose verdicts
+    ``tests/properties/test_fastpath_equivalence.py`` holds the fast
+    paths to.
     """
     instance = prioritizing.instance
     members = candidate.facts

@@ -238,9 +238,9 @@ def find_pareto_improvement_fresh(
 
     Semantically identical to :func:`find_pareto_improvement`, but
     rebuilds a :class:`ConflictIndex` over the candidate on every call —
-    the pre-fast-path behaviour, retained so the perf-regression harness
-    (``benchmarks/bench_core_fastpaths.py``) can measure what the shared
-    index buys.
+    the pre-fast-path behaviour, retained as the reference
+    ``tests/properties/test_fastpath_equivalence.py`` holds the shared
+    index to.
     """
     schema = prioritizing.schema
     instance = prioritizing.instance

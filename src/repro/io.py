@@ -55,6 +55,7 @@ __all__ = [
     "prioritizing_to_dict",
     "prioritizing_from_dict",
     "save_prioritizing_instance",
+    "read_json_file",
     "load_prioritizing_instance",
     "save_schema",
     "load_schema",
@@ -171,9 +172,9 @@ def instance_from_list(
             Fact(entry["relation"], tuple(entry["values"]))
             for entry in entries
         ]
-    except (KeyError, TypeError) as exc:
+        return Instance(schema.signature, facts)
+    except (KeyError, TypeError) as exc:  # TypeError: unhashable values
         raise ReproError(f"malformed instance document: {exc}") from exc
-    return Instance(schema.signature, facts)
 
 
 def prioritizing_to_dict(
@@ -202,11 +203,14 @@ def prioritizing_to_dict(
 
 def prioritizing_from_dict(data: Dict[str, Any]) -> PrioritizingInstance:
     """Deserialize a prioritizing instance; re-validates everything."""
-    schema = schema_from_dict(data["schema"])
-    instance = instance_from_list(schema, data["instance"])
+    try:
+        schema_data, entries = data["schema"], data["instance"]
+    except (KeyError, TypeError) as exc:
+        raise ReproError(f"malformed prioritizing document: {exc}") from exc
+    schema = schema_from_dict(schema_data)
+    instance = instance_from_list(schema, entries)
     facts_in_order = [
-        Fact(entry["relation"], tuple(entry["values"]))
-        for entry in data["instance"]
+        Fact(entry["relation"], tuple(entry["values"])) for entry in entries
     ]
     try:
         edges = [
@@ -231,11 +235,23 @@ def save_prioritizing_instance(
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
 
 
+def read_json_file(path: Union[str, Path]) -> Any:
+    """Parse the JSON document at ``path``.
+
+    Raises :class:`UsageError` naming the path when the file cannot be
+    read, is not UTF-8, is not JSON, or nests too deeply to decode.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"{path}: not a readable JSON file: {exc}") from exc
+
+
 def load_prioritizing_instance(
     path: Union[str, Path]
 ) -> PrioritizingInstance:
     """Read a prioritizing instance from a JSON file."""
-    return prioritizing_from_dict(json.loads(Path(path).read_text()))
+    return prioritizing_from_dict(read_json_file(path))
 
 
 def save_schema(schema: Schema, path: Union[str, Path]) -> None:
@@ -247,4 +263,4 @@ def save_schema(schema: Schema, path: Union[str, Path]) -> None:
 
 def load_schema(path: Union[str, Path]) -> Schema:
     """Read a schema from a JSON file."""
-    return schema_from_dict(json.loads(Path(path).read_text()))
+    return schema_from_dict(read_json_file(path))

@@ -62,6 +62,7 @@ from repro.server.admission import AdmissionController
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    POOLED_OPS,
     Request,
     encode_response,
     error_response,
@@ -73,10 +74,6 @@ from repro.service import ComputeJob, RepairService, RepairJob
 from repro.service.cache import LRUCache
 
 __all__ = ["ServerConfig", "RepairServer"]
-
-#: Operations that carry a job and run on the worker pool (everything
-#: else is a cheap control op answered inline on the event loop).
-_POOLED_OPS = ("check", "repair", "count")
 
 #: Counters pre-registered at server construction so every stats
 #: snapshot reports them, zero or not.
@@ -325,7 +322,7 @@ class RepairServer:
                         error_response(None, "bad-request", str(exc)),
                     )
                     continue
-                if request.op in _POOLED_OPS:
+                if request.op in POOLED_OPS:
                     # Admission happens *now*, on the event loop, so an
                     # overloaded daemon answers before queueing anything.
                     task = asyncio.create_task(

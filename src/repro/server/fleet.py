@@ -67,12 +67,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.exceptions import TransientWorkerError, UsageError
+from repro.exceptions import ProtocolError, TransientWorkerError, UsageError
 from repro.fsutil import atomic_write_text
 from repro.server.hashring import HashRing
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    POOLED_OPS,
     encode_response,
     error_response,
     ok_response,
@@ -83,10 +84,6 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 __all__ = ["FleetConfig", "FleetSupervisor"]
-
-#: Job-bearing ops routed by problem ownership (everything else that
-#: reaches a worker — classify — round-robins across live workers).
-_POOLED_OPS = ("check", "repair", "count")
 
 #: Counters pre-registered at supervisor construction so every fleet
 #: stats snapshot reports them, zero or not.
@@ -566,7 +563,7 @@ class FleetSupervisor:
                 self.metrics.counter("fleet.requests").increment()
                 try:
                     request = parse_request(text)
-                except Exception as exc:  # ProtocolError, by contract
+                except ProtocolError as exc:
                     self.metrics.counter("fleet.bad_requests").increment()
                     await self._send_client(
                         writer,
@@ -638,7 +635,7 @@ class FleetSupervisor:
         alive = [name for name in self._alive() if name not in exclude]
         if not alive:
             return None
-        if op in _POOLED_OPS and key is not None:
+        if op in POOLED_OPS and key is not None:
             for name in self.ring.preference(key):
                 if name in alive:
                     return name
@@ -666,7 +663,7 @@ class FleetSupervisor:
                 ),
             )
             return
-        key = self._routing_key(document) if op in _POOLED_OPS else None
+        key = self._routing_key(document) if op in POOLED_OPS else None
         target = self._pick_worker(op, key)
         if target is None:
             self.metrics.counter("fleet.unavailable").increment()
@@ -713,7 +710,7 @@ class FleetSupervisor:
             await self._on_worker_down(worker)
             return
         self.metrics.counter("fleet.dispatched").increment()
-        if entry.doc.get("op") in _POOLED_OPS:
+        if entry.doc.get("op") in POOLED_OPS:
             worker.dispatches += 1
             plan = self.config.fault_plan
             if plan is not None and plan.should_kill(

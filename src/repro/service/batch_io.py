@@ -50,13 +50,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.fact import Fact
 from repro.core.instance import Instance
 from repro.core.priority import PrioritizingInstance
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, UsageError
 from repro.io import (
     atomic_write_text,
     instance_to_list,
     load_prioritizing_instance,
     parse_schema_spec,
     prioritizing_from_dict,
+    read_json_file,
 )
 from repro.service.jobs import BatchReport, RepairJob
 
@@ -82,6 +83,8 @@ def load_problem_from_csv_spec(
     from repro.engine.csv_loader import load_tagged_sources
     from repro.engine.database import Database
 
+    if not isinstance(spec, dict):
+        raise ReproError(f"csv problem spec must be an object, got {spec!r}")
     try:
         schema_spec = spec["schema"]
         relation = spec["relation"]
@@ -117,6 +120,8 @@ def candidate_from_spec(
     validated to be a subinstance (bad indices raise; out-of-instance
     facts are left to the checker, which reports them as a job error).
     """
+    if not isinstance(spec, (list, tuple)):
+        raise ReproError(f"candidate must be a list, got {spec!r}")
     ordered = _facts_in_canonical_order(prioritizing)
     facts: List[Fact] = []
     for entry in spec:
@@ -156,13 +161,17 @@ def _job_from_fields(
             value = defaults.get(name, fallback)
         return value
 
+    try:
+        priority = int(pick("priority", 0))
+    except (TypeError, ValueError) as exc:
+        raise ReproError(f"job {job_id!r} has a bad priority: {exc}") from exc
     return RepairJob(
         job_id=job_id,
         prioritizing=prioritizing,
         candidate=candidate_from_spec(prioritizing, candidate_spec),
         semantics=pick("semantics", "global"),
         method=pick("method", "auto"),
-        priority=int(pick("priority", 0)),
+        priority=priority,
         timeout=pick("timeout", None),
         node_budget=pick("budget", None),
     )
@@ -171,7 +180,12 @@ def _job_from_fields(
 def _load_json_batch(
     path: Path, prioritizing: Optional[PrioritizingInstance]
 ) -> Tuple[PrioritizingInstance, List[RepairJob]]:
-    document = json.loads(path.read_text())
+    document = read_json_file(path)
+    if not isinstance(document, dict):
+        raise UsageError(
+            f"{path}: a job file holds a JSON object, not "
+            f"{type(document).__name__}"
+        )
     if prioritizing is None:
         problem = document.get("problem")
         csv_spec = document.get("csv")
@@ -191,8 +205,15 @@ def _load_json_batch(
                 "--problem)"
             )
     defaults = document.get("defaults", {})
+    entries = document.get("jobs", [])
+    if not isinstance(defaults, dict) or not isinstance(entries, list):
+        raise UsageError(
+            f"{path}: 'defaults' must be an object and 'jobs' a list"
+        )
     jobs = []
-    for position, entry in enumerate(document.get("jobs", [])):
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ReproError(f"job #{position} is not an object")
         if "candidate" not in entry:
             raise ReproError(f"job #{position} has no 'candidate'")
         jobs.append(
@@ -207,56 +228,56 @@ def _load_json_batch(
     return prioritizing, jobs
 
 
-_CSV_COLUMNS = (
-    "id",
-    "candidate",
-    "semantics",
-    "method",
-    "priority",
-    "timeout",
-    "budget",
-)
-
-
 def _load_csv_batch(
     path: Path, prioritizing: PrioritizingInstance
 ) -> Tuple[PrioritizingInstance, List[RepairJob]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            columns = set(reader.fieldnames or ())
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"{path}: not a readable CSV file: {exc}") from exc
+    missing = {"id", "candidate"} - columns
+    if missing:
+        raise ReproError(
+            f"{path}: job CSV is missing column(s) {sorted(missing)}"
+        )
     jobs = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = {"id", "candidate"} - set(reader.fieldnames or ())
-        if missing:
-            raise ReproError(
-                f"{path}: job CSV is missing column(s) {sorted(missing)}"
+    for position, row in enumerate(rows):
+        try:
+            candidate_spec, fields = _csv_row_fields(row)
+        except ValueError as exc:
+            raise UsageError(f"{path}: job row #{position}: {exc}") from exc
+        jobs.append(
+            _job_from_fields(
+                prioritizing,
+                (row.get("id") or f"job-{position}").strip(),
+                candidate_spec,
+                {},
+                fields,
             )
-        for position, row in enumerate(reader):
-            candidate_text = (row.get("candidate") or "").strip()
-            candidate_spec = [
-                int(token)
-                for token in candidate_text.split(";")
-                if token.strip()
-            ]
-            fields: Dict[str, Any] = {}
-            if (row.get("semantics") or "").strip():
-                fields["semantics"] = row["semantics"].strip()
-            if (row.get("method") or "").strip():
-                fields["method"] = row["method"].strip()
-            if (row.get("priority") or "").strip():
-                fields["priority"] = int(row["priority"])
-            if (row.get("timeout") or "").strip():
-                fields["timeout"] = float(row["timeout"])
-            if (row.get("budget") or "").strip():
-                fields["budget"] = int(row["budget"])
-            jobs.append(
-                _job_from_fields(
-                    prioritizing,
-                    (row.get("id") or f"job-{position}").strip(),
-                    candidate_spec,
-                    {},
-                    fields,
-                )
-            )
+        )
     return prioritizing, jobs
+
+
+def _csv_row_fields(row: Dict[str, Any]) -> Tuple[List[int], Dict[str, Any]]:
+    candidate_text = (row.get("candidate") or "").strip()
+    candidate_spec = [
+        int(token) for token in candidate_text.split(";") if token.strip()
+    ]
+    fields: Dict[str, Any] = {}
+    for name, convert in (
+        ("semantics", str),
+        ("method", str),
+        ("priority", int),
+        ("timeout", float),
+        ("budget", int),
+    ):
+        text = (row.get(name) or "").strip()
+        if text:
+            fields[name] = convert(text)
+    return candidate_spec, fields
 
 
 def load_batch_file(

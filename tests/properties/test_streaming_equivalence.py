@@ -39,7 +39,7 @@ CHUNK_SIZES = (1, 7, 1000)
 #: values sqlite cannot hold as bound (bools, None, nan, the
 #: infinities, -0.0, integers at and beyond the int64 bounds, and
 #: integral floats beyond them), and their equal partners.
-VALUE = st.one_of(
+_SELF_EQUAL = (
     st.integers(min_value=-5, max_value=5),
     st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**70]),
     st.sampled_from(["a", "b", "1", "1.0", "", "x\x1fy", 'q"e', "a|b"]),
@@ -47,15 +47,18 @@ VALUE = st.one_of(
     st.sampled_from(
         [float(2**63), float(-(2**63)), float(2**70), math.inf, -math.inf]
     ),
-    st.just(math.nan),
     st.booleans(),
     st.none(),
 )
+VALUE = st.one_of(*_SELF_EQUAL, st.just(math.nan))
 
 #: nan is not equal to itself, so an in-memory instance and a store
 #: round trip (which decodes a fresh nan) can never compare equal; the
-#: in-memory comparisons run without it.
-COMPARABLE = VALUE.filter(lambda value: value == value)
+#: in-memory comparisons run without it.  Leaving the nan branch out,
+#: rather than filtering it out of ~70 draws per example, keeps
+#: hypothesis's filter_too_much health check from tripping on some
+#: seeds.
+COMPARABLE = st.one_of(*_SELF_EQUAL)
 
 
 def rows_of(value):

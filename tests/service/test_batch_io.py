@@ -109,6 +109,102 @@ class TestJsonJobFiles:
             load_batch_file(path, prioritizing)
 
 
+def _without_instance(problem):
+    return {"schema": problem["schema"]}
+
+
+def _with_list_values(problem):
+    return dict(problem, instance=[{"relation": "R", "values": [[1], "a"]}])
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestMalformedJobFiles:
+    """A bad job file raises only ReproError, whatever is wrong with it."""
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (b"not json", "batch.json"),
+            (b"\xff\xfe{", "batch.json"),
+            (b"[1]", "batch.json"),
+            (b'{"jobs": ' + _DEEP.encode() + b"}", "batch.json"),
+            (b'{"problem": "nope.json", "jobs": []}', "nope.json"),
+            (b'{"csv": 5, "jobs": []}', "csv problem spec"),
+        ],
+        ids=[
+            "not-json",
+            "not-utf8",
+            "top-level-list",
+            "deep-nesting",
+            "missing-problem-file",
+            "csv-spec-not-object",
+        ],
+    )
+    def test_unreadable_file(self, tmp_path, content, match):
+        path = tmp_path / "batch.json"
+        path.write_bytes(content)
+        with pytest.raises(ReproError, match=match):
+            load_batch_file(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: dict(d, problem=_without_instance(d["problem"])),
+             "'instance'"),
+            (lambda d: dict(d, problem=_with_list_values(d["problem"])),
+             "unhashable"),
+            (lambda d: dict(d, jobs=5), "'jobs' a list"),
+            (lambda d: dict(d, defaults=[]), "'defaults' must be"),
+            (lambda d: dict(d, jobs=[5]), "not an object"),
+            (lambda d: dict(d, jobs=[{"candidate": 0}]), "must be a list"),
+            (lambda d: dict(d, jobs=[{"candidate": [0], "priority": "x"}]),
+             "bad priority"),
+        ],
+        ids=[
+            "problem-without-instance",
+            "unhashable-fact-values",
+            "jobs-not-a-list",
+            "defaults-not-an-object",
+            "job-not-an-object",
+            "candidate-not-a-list",
+            "priority-not-an-int",
+        ],
+    )
+    def test_malformed_document(self, simple_problem, tmp_path, edit, match):
+        prioritizing, _, _ = simple_problem
+        document = {
+            "problem": prioritizing_to_dict(prioritizing),
+            "jobs": [{"candidate": [0]}],
+        }
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(edit(document)))
+        with pytest.raises(ReproError, match=match):
+            load_batch_file(path)
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (b"id,candidate\nj1,x\n", "row #0"),
+            (b"id,candidate,timeout\nj1,0,soon\n", "row #0"),
+            (b"\xff\xfe,\n", "batch.csv"),
+        ],
+        ids=["bad-index", "bad-timeout", "not-utf8"],
+    )
+    def test_malformed_csv(self, simple_problem, tmp_path, content, match):
+        prioritizing, _, _ = simple_problem
+        path = tmp_path / "batch.csv"
+        path.write_bytes(content)
+        with pytest.raises(ReproError, match=match):
+            load_batch_file(path, prioritizing)
+
+    def test_missing_csv_file(self, simple_problem, tmp_path):
+        prioritizing, _, _ = simple_problem
+        with pytest.raises(ReproError, match="absent.csv"):
+            load_batch_file(tmp_path / "absent.csv", prioritizing)
+
+
 class TestCsvJobFiles:
     def test_rows_become_jobs(self, simple_problem, tmp_path):
         prioritizing, _, _ = simple_problem

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import Fact, PrioritizingInstance, PriorityRelation, Schema
-from repro.exceptions import CyclicPriorityError, ReproError
+from repro.exceptions import CyclicPriorityError, ReproError, UsageError
 from repro.io import (
     instance_from_list,
     instance_to_list,
@@ -137,6 +137,25 @@ class TestFiles:
         path = tmp_path / "schema.json"
         save_schema(schema, path)
         assert load_schema(path) == schema
+
+    @pytest.mark.parametrize("load", [load_prioritizing_instance, load_schema])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"{", b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+        ids=["missing", "not-json", "not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, load, content):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(UsageError, match="doc.json"):
+            load(path)
+
+    def test_document_missing_a_section(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"instance": []}))
+        with pytest.raises(ReproError, match="'schema'"):
+            load_prioritizing_instance(path)
 
     def test_checking_result_survives_round_trip(self, tmp_path, running):
         """The loaded problem gives identical repair-checking answers."""
