@@ -35,6 +35,16 @@ REPO_SRC = REPO_ROOT / "src"
 
 PYTHON = sys.executable
 
+#: The interpreter's int-to-str digit limit, 0 when it has none (before
+#: CPython 3.11 and its security backports) or it is switched off.
+#: ``json.loads`` raises a plain ValueError on a longer integer literal.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+#: A ping whose id is an integer literal past that limit.
+OVERLONG_INT_PING = (
+    '{"op": "ping", "id": ' + "1" * (INT_DIGIT_LIMIT + 700) + "}"
+)
+
 
 def subprocess_env() -> Dict[str, str]:
     """A copy of the environment with ``src`` importable, for driving

@@ -21,6 +21,7 @@ from repro.server import FleetConfig, FleetSupervisor, HashRing
 from repro.service import FleetFaultPlan, parse_fleet_fault_spec
 from repro.service.resilience import RetryPolicy
 
+from tests.helpers import INT_DIGIT_LIMIT, OVERLONG_INT_PING
 from tests.server.fleet_helpers import (
     fleet_problem,
     optimal_candidate,
@@ -213,6 +214,20 @@ class TestFleetLifecycle:
             bad = await ask({"op": "nope", "id": "b"})
             assert bad["ok"] is False
             assert bad["error"]["code"] == "bad-request"
+            # Lines the JSON decoder itself rejects (too deep; an integer
+            # past the digit limit) keep the connection: the ping
+            # pipelined behind each one is still answered.
+            nested = "[" * 1000 + "]" * 1000
+            undecodable = ['{"op": "ping", "id": ' + nested + "}"]
+            if INT_DIGIT_LIMIT:
+                undecodable.append(OVERLONG_INT_PING)
+            for line in undecodable:
+                writer.write(f'{line}\n{{"op": "ping", "id": "p"}}\n'.encode())
+                await writer.drain()
+                bad = json.loads(await reader.readline())
+                assert bad["error"]["code"] == "bad-request"
+                pong = json.loads(await reader.readline())
+                assert pong["id"] == "p" and pong["pong"] is True
 
             classify = await ask(
                 {"op": "classify", "id": "k", "schema_spec": "R:2; 1 -> 2"}
