@@ -122,15 +122,19 @@ tpch-smoke:
 	@echo "tpch smoke clean"
 
 # The repository benchmark (perfbench/, BENCHMARK.json) as a smoke:
-# a short untraced run of each TPC-H workload, plus a traced tpch_load
-# run (it imports the loader's encoders).  It fails only on a non-zero
-# exit, i.e. when a correctness gate of the benchmark breaks (manifest
-# conformance, certified repairs) or an import does; there are no
-# timing thresholds, since shared runners cannot hold any.
+# a short untraced run of each of its three workloads (the two TPC-H
+# pipelines and the serve_mixed daemon ladder, whose every answer is
+# checked against a serial in-process reference), plus a traced
+# tpch_load run (it imports the loader's encoders).  It fails only on a
+# non-zero exit, i.e. when a correctness gate of the benchmark breaks
+# (manifest conformance, certified repairs, reference answers) or an
+# import does; there are no timing thresholds, since shared runners
+# cannot hold any.
 perfbench-smoke:
 	timeout 300 python3 perfbench/run.py --workload tpch_repair --seconds 5 --trace 0
 	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 0
 	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 1
+	timeout 300 python3 perfbench/run.py --workload serve_mixed --seconds 5 --trace 0
 
 examples:
 	for script in examples/*.py; do \

@@ -12,16 +12,32 @@ conflict pair.
 
 Determinism contract
 --------------------
-Each row's injection decision *and* its corrupted twin are drawn from a
-throwaway RNG seeded by ``(seed, relation, row_index)`` — a string
-seed, so nothing depends on ``PYTHONHASHSEED`` — and the decision is
-``u < rate`` for a ``u`` that does not depend on the rate.  Hence
+Two kinds of draw decide an injection, both from string-seeded RNGs,
+so nothing depends on ``PYTHONHASHSEED``:
+
+* **Selection.**  Each relation has one selection stream,
+  ``Random(f"inject-select|{seed}|{relation}")``, which yields exactly
+  one uniform ``u`` per row in stream order; row ``i`` is selected when
+  its ``u < rate``.  The ``u`` sequence does not depend on the rate.
+* **Twin.**  Only a selected row builds its own RNG,
+  ``Random(f"inject|{seed}|{relation}|{row_index}")``, and draws from
+  it which right-hand-side positions to corrupt and their new values.
+
+Hence
 
 * the same ``(rate, seed)`` yields byte-identical manifests on every
   machine and hash seed;
 * raising the rate at a fixed seed *adds* conflict blocks without
-  touching the blocks already injected (rate monotonicity), which the
-  metamorphic suite pins.
+  touching the blocks already injected (rate monotonicity): the rows
+  selected at rate ``r`` are a subset of those selected at any higher
+  rate, and their twins are byte-identical, which the metamorphic suite
+  pins.
+
+Both draw sequences define the workload, and :data:`MANIFEST_VERSION`
+names them: version 1 drew each row's selection from its twin RNG;
+version 2 is the per-relation selection stream above.  Changing either
+sequence changes which rows a seed corrupts, so it must bump the
+version; :meth:`InjectionManifest.from_json` refuses any other version.
 
 Because the clean streams are keyed (one row per key), an injected
 twin conflicts with exactly its original row and nothing else: the
@@ -69,7 +85,52 @@ __all__ = [
     "tiered_prioritizing",
 ]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+
+
+#: ``(field, JSON type)`` of a manifest document and of each of its
+#: conflict entries.
+_MANIFEST_FIELDS = (
+    ("rate", "a number"),
+    ("seed", "an integer"),
+    ("relations", "a list"),
+    ("conflicts", "a list"),
+)
+_CONFLICT_FIELDS = (
+    ("relation", "a string"),
+    ("fd", "a string"),
+    ("row_index", "an integer"),
+    ("positions", "a list"),
+    ("clean_row", "a list"),
+    ("injected_row", "a list"),
+)
+
+
+def _is_json(value: Any, kind: str) -> bool:
+    """Whether a decoded JSON ``value`` has the named type (a JSON
+    ``true`` is not an integer, an integer is a number)."""
+    if kind == "a string":
+        return isinstance(value, str)
+    if kind == "a list":
+        return isinstance(value, list)
+    if isinstance(value, bool):
+        return False
+    if kind == "an integer":
+        return isinstance(value, int)
+    return isinstance(value, (int, float))  # "a number"
+
+
+def _require_fields(
+    data: Dict[str, Any], fields: Sequence[Tuple[str, str]], what: str
+) -> None:
+    """:class:`UsageError` unless ``data`` has every field, typed."""
+    for field, kind in fields:
+        if field not in data:
+            raise UsageError(f"{what} is missing {field!r}")
+        if not _is_json(data[field], kind):
+            raise UsageError(
+                f"{what} field {field!r} must be {kind}, got {data[field]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,7 +169,19 @@ class InjectedConflict:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "InjectedConflict":
+    def from_dict(cls, data: Any) -> "InjectedConflict":
+        """Inverse of :meth:`to_dict`; :class:`UsageError` on any entry
+        whose fields are missing or of the wrong JSON type."""
+        if not isinstance(data, dict):
+            raise UsageError(
+                f"manifest conflict entry must be an object, got {data!r}"
+            )
+        _require_fields(data, _CONFLICT_FIELDS, "manifest conflict")
+        if not all(_is_json(p, "an integer") for p in data["positions"]):
+            raise UsageError(
+                f"manifest conflict positions must be integers, got "
+                f"{data['positions']!r}"
+            )
         return cls(
             relation=data["relation"],
             fd=data["fd"],
@@ -180,13 +253,33 @@ class InjectionManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "InjectionManifest":
+        """Parse :meth:`to_json` output.  Raises :class:`UsageError` on
+        anything else: malformed JSON, a manifest of another version
+        (its rows were selected by other draws, so it cannot describe
+        this injector's streams), or a field of the wrong shape."""
         try:
             document = json.loads(text)
         except ValueError as exc:
             raise UsageError(f"manifest is not valid JSON: {exc}") from exc
-        for field in ("rate", "seed", "relations", "conflicts"):
-            if field not in document:
-                raise UsageError(f"manifest is missing {field!r}")
+        if not isinstance(document, dict):
+            raise UsageError(
+                f"manifest must be a JSON object, got "
+                f"{type(document).__name__}"
+            )
+        version = document.get("version")
+        if not _is_json(version, "an integer") or version != MANIFEST_VERSION:
+            found = "no version" if version is None else f"version {version!r}"
+            raise UsageError(
+                f"manifest has {found}, but this injector writes and reads "
+                f"version {MANIFEST_VERSION}; re-run `repro workload inject` "
+                f"to regenerate it"
+            )
+        _require_fields(document, _MANIFEST_FIELDS, "manifest")
+        if not all(isinstance(r, str) for r in document["relations"]):
+            raise UsageError(
+                f"manifest relations must be strings, got "
+                f"{document['relations']!r}"
+            )
         manifest = cls(
             rate=document["rate"],
             seed=document["seed"],
@@ -217,7 +310,13 @@ def _corrupt_value(value: Any, rng: random.Random) -> Any:
     return f"corrupt~{rng.randrange(1_000_000)}"
 
 
+def _select_stream(seed: int, relation: str) -> Callable[[], float]:
+    """The relation's selection draws: one uniform ``u`` per row."""
+    return random.Random(f"inject-select|{seed}|{relation}").random
+
+
 def _row_rng(seed: int, relation: str, row_index: int) -> random.Random:
+    """The twin draws of one selected row."""
     return random.Random(f"inject|{seed}|{relation}|{row_index}")
 
 
@@ -235,7 +334,9 @@ def iter_injected_rows(
     immediately afterwards a corrupted twin: the FD's left-hand side is
     kept verbatim and a random nonempty subset of its right-hand-side
     positions is replaced with clashing values.  Selected conflicts are
-    appended to ``sink`` (when given) in stream order.
+    appended to ``sink`` (when given) in stream order.  Every row takes
+    one draw from the relation's selection stream, whatever the rate
+    (see the module's determinism contract).
     """
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"injection rate must be in [0, 1), got {rate!r}")
@@ -247,11 +348,12 @@ def iter_injected_rows(
     if not rhs:
         raise UsageError(f"FD {fd} has an empty right-hand side")
     fd_text = str(fd)
+    select = _select_stream(seed, relation)
     for row_index, row in enumerate(rows):
         yield row
-        rng = _row_rng(seed, relation, row_index)
-        if rng.random() >= rate:
+        if select() >= rate:
             continue
+        rng = _row_rng(seed, relation, row_index)
         chosen = 1 + rng.randrange(len(rhs))
         positions = tuple(sorted(rng.sample(rhs, chosen)))
         corrupted = list(row)
@@ -341,11 +443,14 @@ def inject_violations(
     with a non-trivial FD) pass through untouched.
 
     Returns ``(injected_tables, manifest)``.  The injected factories
-    are replayable too, and the manifest is **eagerly** complete: the
-    selected conflicts are decided here by a dry scan of the decision
-    stream (cheap — one short-seeded RNG per row, no corruption work),
-    so callers may consult the manifest before, during, or without
-    consuming the corrupted streams.
+    are replayable too, and the manifest is **eagerly** complete: it is
+    collected here by a dry scan that runs the full injector over every
+    clean stream (generation, selection, and the corruption of each
+    selected row) and discards the rows, so callers may consult the
+    manifest before, during, or without consuming the corrupted
+    streams.  Callers that consume the streams once anyway (``repro
+    workload inject``/``e2e``) collect the manifest from
+    :func:`iter_injected_rows`'s ``sink`` instead and skip that scan.
     """
     chosen = _normalize_fd_subset(schema, fd_subset)
     for relation in chosen:

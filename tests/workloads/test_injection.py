@@ -4,6 +4,8 @@ truth."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,7 @@ from repro.core.instance import Instance
 from repro.engine.streaming import StreamingInstanceStore
 from repro.exceptions import UsageError
 from repro.workloads.injection import (
+    MANIFEST_VERSION,
     InjectionManifest,
     inject_violations,
     iter_injected_rows,
@@ -171,6 +174,56 @@ def test_manifest_json_validation():
     )
     with pytest.raises(UsageError):
         InjectionManifest.from_json(tampered)
+    document = json.loads(manifest.to_json())
+    del document["conflict_count"]
+    for edit in (
+        lambda d: [d],
+        lambda d: {**d, "relations": 5},
+        lambda d: {**d, "relations": [5]},
+        lambda d: {**d, "conflicts": [{}]},
+        lambda d: {**d, "conflicts": [5]},
+        lambda d: {**d, "conflicts": {}},
+        lambda d: {**d, "seed": "3"},
+        lambda d: {**d, "rate": True},
+        lambda d: {
+            **d,
+            "conflicts": [{**d["conflicts"][0], "positions": ["2"]}],
+        },
+        lambda d: {**d, "conflicts": [{**d["conflicts"][0], "fd": None}]},
+    ):
+        with pytest.raises(UsageError):
+            InjectionManifest.from_json(json.dumps(edit(dict(document))))
+
+
+@pytest.mark.parametrize("version", [None, 1, 99, "2", 2.5, True])
+def test_manifest_of_another_version_is_refused(version):
+    _, _, _, manifest = _workload(scale_factor=0.002)
+    document = json.loads(manifest.to_json())
+    if version is None:
+        del document["version"]
+    else:
+        document["version"] = version
+    with pytest.raises(UsageError) as excinfo:
+        InjectionManifest.from_json(json.dumps(document))
+    message = str(excinfo.value)
+    assert f"version {MANIFEST_VERSION}" in message
+    found = "no version" if version is None else f"version {version!r}"
+    assert found in message
+    assert "repro workload inject" in message
+
+
+def test_manifest_digest_is_pinned_to_its_version():
+    # The bytes of one tiny workload's manifest, pinned.  Any change to
+    # the selection draws or the twin draws changes which rows a seed
+    # corrupts and how: it must bump MANIFEST_VERSION (so old manifests
+    # are refused on replay) and update this digest together.
+    schema = tpch_schema()
+    _, manifest = inject_violations(generate_tables(0.002, 3), schema, 0.05, 3)
+    digest = hashlib.sha256(manifest.to_json().encode()).hexdigest()
+    assert MANIFEST_VERSION == 2
+    assert digest == (
+        "65ac5bd215f5e9ca0003a3f1df370678a3abb69f819e839351dd787f8ad48001"
+    )
 
 
 def test_manifest_bytes_identical_across_hash_seeds():
