@@ -19,10 +19,12 @@ that cap for the load path:
   beyond int64 — are keyed by an equality-preserving stand-in, and
   their row keeps its exact values in a JSON ``tags`` column that scans
   decode instead;
-* each row also stores a precomputed ``str(fact)`` sort key, so every
-  scan — and therefore every downstream id assignment — is
-  deterministic and identical to the in-memory ``sorted(..., key=str)``
-  order;
+* scans are **``str``-ordered in Python, and only where order is
+  read**: no sort key is stored, so ingest pays nothing for order.  A
+  conflict scan sorts its kernel-sized result by ``str``; a
+  whole-relation scan sorts that relation.  Every downstream id
+  assignment is therefore deterministic and identical to the in-memory
+  ``sorted(..., key=str)`` order;
 * **consistency and conflicts are computed in SQL**: per FD, a
   ``GROUP BY lhs HAVING COUNT(*) > 1`` over ``SELECT DISTINCT lhs, rhs``
   detects violating groups without materializing a single
@@ -78,7 +80,6 @@ from repro.exceptions import ReproError, UsageError
 __all__ = [
     "StreamingInstanceStore",
     "encode_value",
-    "decode_value",
     "canonical_value",
     "fact_sort_key",
 ]
@@ -90,9 +91,10 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 DEFAULT_CHUNK_SIZE = 8192
 
 #: ``PRAGMA user_version`` of a store file in this module's table
-#: layout.  The dual-encoding layout that preceded it never stamped the
-#: pragma, so its files read 0.
-LAYOUT_VERSION = 2
+#: layout.  Version 2 stored a ``str(fact)`` sort key in every row; the
+#: dual-encoding layout before it never stamped the pragma, so its
+#: files read 0.
+LAYOUT_VERSION = 3
 
 #: Integers and finite floats in the open range ``(-2**63, 2**63)``
 #: are bound natively.  Leaving out ``-2**63`` itself, though it fits
@@ -114,11 +116,6 @@ def encode_value(value: Any) -> str:
             f"{type(value).__name__}: {value!r}"
         )
     return json.dumps(value)
-
-
-def decode_value(text: str) -> Any:
-    """Inverse of :func:`encode_value`."""
-    return json.loads(text)
 
 
 def canonical_value(value: Any) -> str:
@@ -143,8 +140,8 @@ def fact_sort_key(relation: str, values: Sequence[Any]) -> str:
     """``str(Fact(relation, values))`` computed without building the fact.
 
     This is the total order the whole codebase sorts facts by
-    (``sorted(..., key=str)``), precomputed at ingest so sqlite can
-    ``ORDER BY`` it and hand back scans in interning order.
+    (``sorted(..., key=str)``); whole-relation scans sort their rows by
+    it without building a :class:`Fact` per row.
     """
     return f"{relation}({', '.join(map(repr, values))})"
 
@@ -181,10 +178,10 @@ def _key_cell(value: Any) -> Any:
     return b"n"
 
 
-def _tagged_row(skey: str, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _tagged_row(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """An insert row whose ``tags`` column keeps the exact values."""
     tags = f"[{', '.join(map(encode_value, values))}]"
-    return (skey, *map(_key_cell, values), tags)
+    return (*map(_key_cell, values), tags)
 
 
 def _decode(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
@@ -300,7 +297,7 @@ class StreamingInstanceStore:
             # the first-inserted representative, as a set insert would.
             connection.execute(
                 f'CREATE TABLE IF NOT EXISTS "{_table(name)}" '
-                f"(skey TEXT NOT NULL, {key_spec}, tags TEXT, "
+                f"({key_spec}, tags TEXT, "
                 f"PRIMARY KEY ({', '.join(columns)})) WITHOUT ROWID"
             )
         connection.commit()
@@ -349,7 +346,7 @@ class StreamingInstanceStore:
         arity = self._require_relation(relation)
         statement = (
             f'INSERT OR IGNORE INTO "{_table(relation)}" '
-            f"VALUES ({', '.join('?' * (arity + 2))})"
+            f"VALUES ({', '.join('?' * (arity + 1))})"
         )
         connection = self._connection
         before = connection.total_changes
@@ -364,7 +361,7 @@ class StreamingInstanceStore:
                 # ignored by the key, as any duplicate is).
                 connection.executemany(
                     statement,
-                    [row if row[-1] else _tagged_row(row[0], row[1:-1])
+                    [row if row[-1] else _tagged_row(row[:-1])
                      for row in batch],
                 )
             batch.clear()
@@ -376,7 +373,6 @@ class StreamingInstanceStore:
                     f"relation {relation!r} has arity {arity}, got a row "
                     f"of width {len(values)}: {values!r}"
                 )
-            skey = fact_sort_key(relation, values)
             for value in values:
                 kind = type(value)
                 if kind is str:
@@ -389,10 +385,10 @@ class StreamingInstanceStore:
                         value or copysign(1.0, value) > 0
                     ):
                         continue
-                batch.append(_tagged_row(skey, values))
+                batch.append(_tagged_row(values))
                 break
             else:
-                batch.append((skey, *values, None))
+                batch.append((*values, None))
             if len(batch) >= self._chunk_size:
                 flush()
         if batch:
@@ -536,12 +532,17 @@ class StreamingInstanceStore:
     def iter_rows(
         self, relation: str, chunk_size: Optional[int] = None
     ) -> Iterator[Tuple[Any, ...]]:
-        """Stream one relation's rows in deterministic (``str``) order."""
+        """One relation's rows in deterministic (``str``) order.
+
+        The rows are fetched in chunks but sorted in Python, so an
+        ordered whole-relation scan holds that relation in memory.
+        """
         columns = ", ".join(_columns(self._require_relation(relation)))
-        return self._iter_scan(
-            f'SELECT {columns}, tags FROM "{_table(relation)}" '
-            f"ORDER BY skey",
-            chunk_size,
+        rows = self._iter_scan(
+            f'SELECT {columns}, tags FROM "{_table(relation)}"', chunk_size
+        )
+        return iter(
+            sorted(rows, key=lambda values: fact_sort_key(relation, values))
         )
 
     def iter_facts(
@@ -549,12 +550,13 @@ class StreamingInstanceStore:
         relation: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[Fact]:
-        """Stream facts in global interning (``str``-sorted) order.
+        """Facts in global interning (``str``-sorted) order.
 
-        Per-relation streams are already skey-ordered; the global
-        stream is their k-way merge, so the whole-store scan is also
-        ``str``-sorted — table name order and sort-key order coincide
-        because ``str(fact)`` starts with the relation name.
+        Each relation's rows come from :meth:`iter_rows`, so one
+        relation at a time is held in memory.  Relations are scanned in
+        name order, so the whole-store scan is also ``str``-sorted:
+        table name order and ``str`` order coincide because
+        ``str(fact)`` starts with the relation name.
         """
         if relation is not None:
             self._require_relation(relation)
@@ -616,8 +618,12 @@ class StreamingInstanceStore:
         }
 
     def iter_conflict_facts(self, fd: FD) -> Iterator[Fact]:
-        """Stream the facts of every ``fd``-violating group, in
-        deterministic (``str``) order."""
+        """The facts of every ``fd``-violating group, in deterministic
+        (``str``) order.
+
+        The scan is kernel-sized: only violating groups' facts are
+        fetched, and they are sorted in Python.
+        """
         if fd.is_trivial():
             return
         self._require_relation(fd.relation)
@@ -628,11 +634,13 @@ class StreamingInstanceStore:
             where = f"({lhs}) IN ({groups})"
         else:
             where = f"(SELECT COUNT(*) FROM ({groups})) > 1"
-        for values in self._iter_scan(
+        rows = self._iter_scan(
             f'SELECT {columns}, tags FROM "{_table(fd.relation)}" '
-            f"WHERE {where} ORDER BY skey"
-        ):
-            yield Fact(fd.relation, values)
+            f"WHERE {where}"
+        )
+        yield from sorted(
+            (Fact(fd.relation, values) for values in rows), key=str
+        )
 
     def conflict_kernel(self) -> Instance:
         """The sub-instance of facts participating in >= 1 conflict.

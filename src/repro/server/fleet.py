@@ -361,8 +361,12 @@ class FleetSupervisor:
             self._heartbeat_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._heartbeat_task
-        for task in list(self._aux_tasks):
+        aux_tasks = list(self._aux_tasks)
+        for task in aux_tasks:
             task.cancel()
+        # A cancelled restart may still be reaping the process of a
+        # spawn that outlived its cancellation (see _boot_worker).
+        await asyncio.gather(*aux_tasks, return_exceptions=True)
         # Forward the drain; each worker finishes its in-flight jobs and
         # writes their responses before closing, so the reader tasks
         # deliver every outstanding answer on their way to EOF.
@@ -478,22 +482,50 @@ class FleetSupervisor:
             )
 
     async def _boot_worker(self, worker: _Worker) -> None:
-        """Spawn one worker and wait for its socket to accept."""
-        worker.proc = await asyncio.to_thread(self._spawn_sync, worker)
+        """Spawn one worker and wait for its socket to accept.
+
+        A boot that fails or is cancelled kills and reaps the process it
+        spawned, since nothing else would ever drain it.  Cancelling does
+        not stop a spawn already running on its thread, so a cancelled
+        boot first waits for that spawn to finish.
+        """
+        spawn = asyncio.ensure_future(
+            asyncio.to_thread(self._spawn_sync, worker)
+        )
+        try:
+            worker.proc = proc = await asyncio.shield(spawn)
+            reader, writer = await self._accept(worker, proc)
+        except (asyncio.CancelledError, TransientWorkerError):
+            with contextlib.suppress(OSError):
+                proc = await spawn
+                proc.kill()
+                await asyncio.to_thread(proc.wait)
+            raise
+        worker.reader = reader
+        worker.writer = writer
+        worker.alive = True
+        worker.down_handled = False
+        worker.misses = 0
+        worker.started_at = time.monotonic()
+        worker.reader_task = asyncio.create_task(self._read_worker(worker))
+
+    async def _accept(
+        self, worker: _Worker, proc: subprocess.Popen
+    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """Connect to a freshly spawned worker once its socket accepts."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.boot_timeout
         while True:
-            if worker.proc.poll() is not None:
+            if proc.poll() is not None:
                 raise TransientWorkerError(
                     f"worker {worker.name} exited with code "
-                    f"{worker.proc.returncode} during boot "
+                    f"{proc.returncode} during boot "
                     f"(see {worker.log_path})"
                 )
             try:
-                reader, writer = await asyncio.open_unix_connection(
+                return await asyncio.open_unix_connection(
                     worker.socket_path, limit=self.config.max_line_bytes
                 )
-                break
             except (ConnectionError, FileNotFoundError, OSError):
                 if loop.time() >= deadline:
                     raise TransientWorkerError(
@@ -502,13 +534,6 @@ class FleetSupervisor:
                         f"{self.config.boot_timeout}s"
                     ) from None
                 await asyncio.sleep(0.05)
-        worker.reader = reader
-        worker.writer = writer
-        worker.alive = True
-        worker.down_handled = False
-        worker.misses = 0
-        worker.started_at = time.monotonic()
-        worker.reader_task = asyncio.create_task(self._read_worker(worker))
 
     async def _reap(self, worker: _Worker) -> None:
         """Collect one worker process, escalating to SIGKILL if needed."""

@@ -15,6 +15,7 @@ interners.  Only the read surface the property compares is kept.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 from typing import (
     Any,
@@ -34,7 +35,6 @@ from repro.core.interning import FactInterner
 from repro.core.schema import Schema
 from repro.engine.streaming import (
     canonical_value,
-    decode_value,
     encode_value,
     fact_sort_key,
 )
@@ -43,6 +43,11 @@ from repro.engine.streaming import (
 #: with ensure_ascii=True escapes every control character, so the unit
 #: separator can never occur inside an encoded value.
 _RHS_SEPARATOR = "\x1f"
+
+
+def decode_value(text: str) -> Any:
+    """Inverse of :func:`~repro.engine.streaming.encode_value`."""
+    return json.loads(text)
 
 
 def _table(relation: str) -> str:

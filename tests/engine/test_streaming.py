@@ -4,6 +4,7 @@ scans, SQL-side conflict analysis, and kernel/index construction."""
 from __future__ import annotations
 
 import math
+import random
 import sqlite3
 
 import pytest
@@ -17,12 +18,12 @@ from repro.core.interning import FactInterner
 from repro.engine.streaming import (
     LAYOUT_VERSION,
     StreamingInstanceStore,
-    decode_value,
     encode_value,
     fact_sort_key,
 )
 from repro.exceptions import ReproError, UnknownRelationError, UsageError
 
+from tests.engine.streaming_reference import decode_value
 from tests.helpers import single_fd_schema
 
 #: Values that stress the cell layout: a unit separator, quotes,
@@ -88,6 +89,30 @@ def test_tricky_values_roundtrip(store):
     # 1 and "1" stay distinct facts.
     store.ingest_rows("R", [(99, 1), (99, "1")])
     assert store.fact_count("R") == len(rows) + 2
+
+
+#: Mixed-type values whose ``str`` order differs from sqlite's
+#: storage order: tagged values, ``1`` beside ``"1"``, floats, and
+#: strings with quotes.  No two are equal in Python.
+MIXED = [1, "1", 1.5, -2.25, False, None, math.inf, 2**70, "a", 'b"', "c'd"]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 1000])
+def test_conflict_facts_stream_in_str_order(chunk_size):
+    conflicting = [(key, value) for key in MIXED for value in MIXED]
+    rows = conflicting + [("solo", "x"), (3, None)]
+    random.Random(chunk_size).shuffle(rows)
+    schema = single_fd_schema()
+    with StreamingInstanceStore(schema, chunk_size=chunk_size) as store:
+        store.ingest_rows("R", rows)
+        (fd,) = schema.fds
+        facts = list(store.iter_conflict_facts(fd))
+        scanned = list(store.iter_rows("R"))
+    expected = sorted((Fact("R", row) for row in conflicting), key=str)
+    assert list(map(str, facts)) == list(map(str, expected))
+    assert list(map(repr, scanned)) == list(
+        map(repr, sorted(rows, key=lambda row: fact_sort_key("R", row)))
+    )
 
 
 def test_encode_decode_are_inverse():
@@ -319,6 +344,26 @@ def test_old_layout_store_file_is_refused(tmp_path):
     connection.commit()
     connection.close()
     with pytest.raises(ReproError, match="old.sqlite.*layout version 0"):
+        StreamingInstanceStore(single_fd_schema(), path=path)
+
+
+def test_layout_2_store_file_is_refused(tmp_path):
+    path = tmp_path / "v2.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute(
+        'CREATE TABLE "t_R" (skey TEXT NOT NULL, c1 NOT NULL, c2 NOT NULL, '
+        "tags TEXT, PRIMARY KEY (c1, c2)) WITHOUT ROWID"
+    )
+    connection.execute(
+        """INSERT INTO "t_R" VALUES ('R(1, ''a'')', 1, 'a', NULL)"""
+    )
+    connection.execute("PRAGMA user_version = 2")
+    connection.commit()
+    connection.close()
+    with pytest.raises(
+        ReproError,
+        match=f"v2.sqlite.*layout version 2.*reads version {LAYOUT_VERSION}",
+    ):
         StreamingInstanceStore(single_fd_schema(), path=path)
 
 

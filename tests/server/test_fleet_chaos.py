@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
+from repro.exceptions import TransientWorkerError
 from repro.server import FleetConfig, FleetSupervisor, RepairServer, ServerConfig
 from repro.service import FleetFaultPlan
 
@@ -344,3 +346,98 @@ class TestTornStore:
             assert warm == cold
 
         asyncio.run(drill())
+
+
+class TestDrainDuringRestart:
+    def test_drain_reaps_a_worker_spawned_after_its_restart_was_cancelled(
+        self, tmp_path
+    ):
+        """A drain cancels a pending restart, but cancelling the await
+        does not stop a spawn already running on its thread.  The
+        process that spawn starts must still be gone once the drain
+        returns."""
+        entered = threading.Event()
+        release = threading.Event()
+        spawned = []
+
+        async def drill():
+            supervisor = FleetSupervisor(
+                FleetConfig(
+                    workers=1,
+                    port=0,
+                    state_dir=str(tmp_path),
+                    heartbeat_interval=5.0,
+                    restart_base=0.01,
+                    restart_cap=0.02,
+                )
+            )
+            spawn = supervisor._spawn_sync
+
+            def gated_spawn(worker):
+                if spawned:
+                    # A respawn: hold it before Popen until the drill
+                    # has started the drain.
+                    entered.set()
+                    release.wait(30)
+                proc = spawn(worker)
+                spawned.append(proc)
+                return proc
+
+            supervisor._spawn_sync = gated_spawn
+            await supervisor.start()
+            supervisor.workers["w0"].proc.kill()
+            await _wait_until(entered.is_set)
+            supervisor.request_drain()
+            drain = asyncio.create_task(supervisor.wait_drained())
+            # Let the drain cancel the restart, then let the spawn run.
+            await asyncio.sleep(0.5)
+            release.set()
+            await drain
+            await _wait_until(lambda: len(spawned) == 2)
+
+        try:
+            asyncio.run(drill())
+            assert [proc.poll() is not None for proc in spawned] == [
+                True, True
+            ]
+        finally:
+            release.set()
+            _kill_leftovers(spawned)
+
+
+class TestFailedBoot:
+    def test_a_worker_that_misses_its_boot_timeout_is_reaped(self, tmp_path):
+        spawned = []
+
+        async def drill():
+            supervisor = FleetSupervisor(
+                FleetConfig(
+                    workers=1,
+                    port=0,
+                    state_dir=str(tmp_path),
+                    boot_timeout=0.001,
+                )
+            )
+            spawn = supervisor._spawn_sync
+
+            def recorded_spawn(worker):
+                spawned.append(spawn(worker))
+                return spawned[-1]
+
+            supervisor._spawn_sync = recorded_spawn
+            with pytest.raises(TransientWorkerError, match="did not accept"):
+                await supervisor.start()
+
+        try:
+            asyncio.run(drill())
+            assert [proc.poll() is not None for proc in spawned] == [True]
+        finally:
+            _kill_leftovers(spawned)
+
+
+def _kill_leftovers(processes):
+    """Keep a failing drill from leaking its workers."""
+    for proc in processes:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
