@@ -122,19 +122,21 @@ tpch-smoke:
 	@echo "tpch smoke clean"
 
 # The repository benchmark (perfbench/, BENCHMARK.json) as a smoke:
-# a short untraced run of each of its three workloads (the two TPC-H
-# pipelines and the serve_mixed daemon ladder, whose every answer is
-# checked against a serial in-process reference), plus a traced
-# tpch_load run (it imports the loader's encoders).  It fails only on a
-# non-zero exit, i.e. when a correctness gate of the benchmark breaks
-# (manifest conformance, certified repairs, reference answers) or an
-# import does; there are no timing thresholds, since shared runners
-# cannot hold any.
+# a short untraced and a short traced run of each of its three
+# workloads (the two TPC-H pipelines and the serve_mixed daemon ladder,
+# whose every answer is checked against a serial in-process reference),
+# so every run kind the benchmark makes is smoked; the traced tpch_load
+# run also imports the loader's encoders.  It fails only on a non-zero
+# exit, i.e. when a correctness gate of the benchmark breaks (manifest
+# conformance, certified repairs, reference answers) or an import does;
+# there are no timing thresholds, since shared runners cannot hold any.
 perfbench-smoke:
 	timeout 300 python3 perfbench/run.py --workload tpch_repair --seconds 5 --trace 0
+	timeout 300 python3 perfbench/run.py --workload tpch_repair --seconds 5 --trace 1
 	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 0
 	timeout 300 python3 perfbench/run.py --workload tpch_load --seconds 5 --trace 1
 	timeout 300 python3 perfbench/run.py --workload serve_mixed --seconds 5 --trace 0
+	timeout 300 python3 perfbench/run.py --workload serve_mixed --seconds 5 --trace 1
 
 examples:
 	for script in examples/*.py; do \

@@ -20,15 +20,22 @@ that cap for the load path:
   their row keeps its exact values in a JSON ``tags`` column that scans
   decode instead;
 * scans are **``str``-ordered in Python, and only where order is
-  read**: no sort key is stored, so ingest pays nothing for order.  A
-  conflict scan sorts its kernel-sized result by ``str``; a
-  whole-relation scan sorts that relation.  Every downstream id
-  assignment is therefore deterministic and identical to the in-memory
-  ``sorted(..., key=str)`` order;
-* **consistency and conflicts are computed in SQL**: per FD, a
-  ``GROUP BY lhs HAVING COUNT(*) > 1`` over ``SELECT DISTINCT lhs, rhs``
-  detects violating groups without materializing a single
+  read**: no sort key is stored, so ingest pays nothing for order.
+  :meth:`~StreamingInstanceStore.iter_conflict_facts` sorts one FD's
+  kernel-sized facts by ``str``; a whole-relation scan sorts that
+  relation.  Every downstream id assignment is therefore deterministic
+  and identical to the in-memory ``sorted(..., key=str)`` order;
+* **violating groups are found in SQL**: per FD, a ``GROUP BY lhs
+  HAVING COUNT(*) > 1`` (over ``SELECT DISTINCT lhs, rhs`` unless the
+  FD spans every attribute, when the table key makes rows distinct
+  already) detects them without materializing a single
   :class:`Fact`;
+* **one conflict probe per write**: the first conflict query fetches,
+  per FD, the facts of its violating groups in one unsorted scan and
+  memoizes them, stamped with the store's write generation.  The
+  kernel, the conflict pairs and the consistency counts all read that
+  probe until a write changes the stamp; a store that was never probed
+  answers consistency with counting SQL instead, building no facts;
 * only the **conflict kernel** — the facts participating in at least
   one conflict — is ever materialized at scale.  Facts outside every
   conflict belong to every repair and cannot affect any optimality
@@ -37,7 +44,7 @@ that cap for the load path:
   the instance;
 * the kernel's :class:`~repro.core.interning.FactInterner` and
   :class:`~repro.core.bitset_index.BitsetConflictIndex` are built from
-  **chunked scans** of the store (the scan order *is* interning
+  the probe's facts sorted by ``str`` (that order *is* interning
   order), never from a full ``Instance``.
 
 For small instances :meth:`StreamingInstanceStore.to_instance` also
@@ -208,6 +215,11 @@ def _first_undecodable_line(path: Union[str, Path]) -> int:
     return 0
 
 
+#: Per non-trivial FD, its violating-group count and the facts of those
+#: groups, in storage order.
+_Probe = Dict[FD, Tuple[int, List[Fact]]]
+
+
 def _table(relation: str) -> str:
     return f't_{relation}'
 
@@ -255,6 +267,8 @@ class StreamingInstanceStore:
         self._schema = schema
         self._path = str(path)
         self._chunk_size = chunk_size
+        self._probe: Optional[_Probe] = None
+        self._probe_stamp: Optional[Tuple[int, int]] = None
         self._arity = {
             symbol.name: symbol.arity for symbol in schema.signature
         }
@@ -306,6 +320,7 @@ class StreamingInstanceStore:
 
     def close(self) -> None:
         """Close the sqlite connection (idempotent)."""
+        self._probe = None
         self._connection.close()
 
     def __enter__(self) -> "StreamingInstanceStore":
@@ -576,12 +591,20 @@ class StreamingInstanceStore:
         distinct ``Y`` values; for ``∅ → Y`` it yields one row per
         distinct ``Y`` value, at most two.  Grouping runs on the native
         key cells, so ``1`` and ``1.0`` are one value, as in Python.
+        When ``X ∪ Y`` spans every attribute, stored rows are distinct
+        on the table key, so two rows sharing ``X`` differ on ``Y`` and
+        counting the rows of a group needs no ``DISTINCT`` pass.
         """
         table = _table(fd.relation)
         lhs = ", ".join(f"c{p}" for p in fd.lhs_sorted)
         rhs = ", ".join(f"c{p}" for p in fd.rhs_sorted if p not in fd.lhs)
         if not lhs:
             return f'SELECT DISTINCT {rhs} FROM "{table}" LIMIT 2'
+        if len(fd.span_sorted) == self._arity[fd.relation]:
+            return (
+                f'SELECT {lhs} FROM "{table}" '
+                f"GROUP BY {lhs} HAVING COUNT(*) > 1"
+            )
         return (
             f"SELECT {lhs} FROM "
             f'(SELECT DISTINCT {lhs}, {rhs} FROM "{table}") '
@@ -593,11 +616,74 @@ class StreamingInstanceStore:
             (fd for fd in self._schema.fds if not fd.is_trivial()), key=str
         )
 
+    def _scan_violations(self, fd: FD) -> Tuple[int, List[Fact]]:
+        """``fd``'s violating-group count and the facts of those groups.
+
+        One kernel-sized scan, in storage order.  Groups are counted on
+        the key cells, so the count is the one the counting SQL gives.
+        """
+        columns = ", ".join(_columns(self._arity[fd.relation]))
+        groups = self._violating_groups_sql(fd)
+        if fd.lhs:
+            lhs = ", ".join(f"c{p}" for p in fd.lhs_sorted)
+            where = f"({lhs}) IN ({groups})"
+        else:
+            where = f"(SELECT COUNT(*) FROM ({groups})) > 1"
+        rows = self._connection.execute(
+            f'SELECT {columns}, tags FROM "{_table(fd.relation)}" '
+            f"WHERE {where}"
+        ).fetchall()
+        if fd.lhs:
+            count = len({
+                tuple(row[p - 1] for p in fd.lhs_sorted) for row in rows
+            })
+        else:
+            count = 1 if rows else 0
+        return count, [Fact(fd.relation, _decode(row)) for row in rows]
+
+    def _write_generation(self) -> Tuple[int, int]:
+        """Equal stamps mean equal stored rows: ``total_changes`` moves
+        with every row this connection writes, ``data_version`` with
+        every commit another connection makes to the same file."""
+        (data_version,) = self._connection.execute(
+            "PRAGMA data_version"
+        ).fetchone()
+        return self._connection.total_changes, data_version
+
+    def _current_probe(self) -> Optional[_Probe]:
+        """The memoized conflict probe, or ``None`` once a write has
+        made it stale (the stale probe is dropped)."""
+        if self._probe is not None and (
+            self._probe_stamp != self._write_generation()
+        ):
+            self._probe = None
+        return self._probe
+
+    def _conflict_probe(self) -> _Probe:
+        """The conflict probe, rescanned (one query per FD) only when
+        the write generation has moved since the last scan."""
+        probe = self._current_probe()
+        if probe is None:
+            self._probe_stamp = self._write_generation()
+            probe = {
+                fd: self._scan_violations(fd)
+                for fd in self._nontrivial_fds()
+            }
+            self._probe = probe
+        return probe
+
     def fd_violations(self, fd: FD) -> int:
-        """How many lhs groups violate ``fd`` (0 = satisfied)."""
+        """How many lhs groups violate ``fd`` (0 = satisfied).
+
+        Read from the conflict probe when it is current; otherwise one
+        counting query, which builds no facts.
+        """
         if fd.is_trivial():
             return 0
         self._require_relation(fd.relation)
+        probe = self._current_probe()
+        if probe is not None and fd in probe:
+            return probe[fd][0]
         (count,) = self._connection.execute(
             f"SELECT COUNT(*) FROM ({self._violating_groups_sql(fd)})"
         ).fetchone()
@@ -607,8 +693,13 @@ class StreamingInstanceStore:
         return count
 
     def is_consistent(self) -> bool:
-        """Whether the stored instance satisfies every schema FD —
-        answered entirely in SQL, no fact materialization."""
+        """Whether the stored instance satisfies every schema FD.
+
+        After a conflict query it reads the probe; on a store that has
+        not been probed since its last write it runs the counting SQL
+        of :meth:`fd_violations`, so a standalone check builds no
+        facts.
+        """
         return all(self.fd_violations(fd) == 0 for fd in self._nontrivial_fds())
 
     def conflict_summary(self) -> Dict[str, int]:
@@ -621,26 +712,17 @@ class StreamingInstanceStore:
         """The facts of every ``fd``-violating group, in deterministic
         (``str``) order.
 
-        The scan is kernel-sized: only violating groups' facts are
-        fetched, and they are sorted in Python.
+        A schema FD's facts come from the conflict probe, so they are
+        the objects the kernel and the pairs hold; only this method
+        sorts them.  Any other FD is scanned on its own.
         """
         if fd.is_trivial():
             return
         self._require_relation(fd.relation)
-        columns = ", ".join(_columns(self._arity[fd.relation]))
-        groups = self._violating_groups_sql(fd)
-        if fd.lhs:
-            lhs = ", ".join(f"c{p}" for p in fd.lhs_sorted)
-            where = f"({lhs}) IN ({groups})"
-        else:
-            where = f"(SELECT COUNT(*) FROM ({groups})) > 1"
-        rows = self._iter_scan(
-            f'SELECT {columns}, tags FROM "{_table(fd.relation)}" '
-            f"WHERE {where}"
-        )
-        yield from sorted(
-            (Fact(fd.relation, values) for values in rows), key=str
-        )
+        entry = self._conflict_probe().get(fd)
+        if entry is None:
+            entry = self._scan_violations(fd)
+        yield from sorted(entry[1], key=str)
 
     def conflict_kernel(self) -> Instance:
         """The sub-instance of facts participating in >= 1 conflict.
@@ -652,25 +734,26 @@ class StreamingInstanceStore:
         they belong to every repair and no checker verdict depends on
         them.
         """
-        kernel: List[Fact] = []
-        seen: set = set()
-        for fd in self._nontrivial_fds():
-            for fact in self.iter_conflict_facts(fd):
-                if fact not in seen:
-                    seen.add(fact)
-                    kernel.append(fact)
-        return Instance(self._schema.signature, kernel)
+        return Instance._from_validated(
+            self._schema.signature,
+            frozenset(
+                fact
+                for _, facts in self._conflict_probe().values()
+                for fact in facts
+            ),
+        )
 
     def conflict_pairs(self) -> FrozenSet[FrozenSet[Fact]]:
         """Every conflicting fact pair, as unordered pairs.
 
-        Materializes per violating group only; at scale this is the
-        manifest cross-check surface, not a hot path.
+        Built from the conflict probe by grouping each FD's facts on
+        the lhs, so it shares the probe's scan and facts with
+        :meth:`conflict_kernel`; the manifest cross-check reads it.
         """
         pairs: List[FrozenSet[Fact]] = []
-        for fd in self._nontrivial_fds():
+        for fd, (_, facts) in self._conflict_probe().items():
             groups: Dict[Tuple[Any, ...], List[Fact]] = {}
-            for fact in self.iter_conflict_facts(fd):
+            for fact in facts:
                 groups.setdefault(
                     fact.project(fd.lhs_sorted), []
                 ).append(fact)

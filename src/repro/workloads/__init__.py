@@ -53,7 +53,6 @@ from repro.workloads.tpch import (
     converters_for,
     generate_tables,
     iter_relation,
-    read_tbl,
     sample_conflict_neighborhoods,
     table_sizes,
     tpch_schema,
@@ -87,7 +86,6 @@ __all__ = [
     "iter_relation",
     "generate_tables",
     "write_tbl",
-    "read_tbl",
     "converters_for",
     "sample_conflict_neighborhoods",
     "InjectedConflict",

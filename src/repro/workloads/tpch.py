@@ -32,7 +32,6 @@ streams into sqlite and only surfaces the conflict kernel.
 
 from __future__ import annotations
 
-import csv
 import random
 from pathlib import Path
 from typing import (
@@ -62,7 +61,6 @@ __all__ = [
     "iter_relation",
     "generate_tables",
     "write_tbl",
-    "read_tbl",
     "converters_for",
     "sample_conflict_neighborhoods",
 ]
@@ -325,9 +323,13 @@ def write_tbl(
     rows: Iterable[Tuple[Any, ...]], path: Union[str, Path]
 ) -> int:
     """Write a row stream as a TPC-H ``.tbl`` file (pipe-delimited,
-    trailing ``|``, one row per line).  Returns the row count."""
+    trailing ``|``, one row per line, UTF-8).  Returns the row count.
+
+    :meth:`~repro.engine.streaming.StreamingInstanceStore.ingest_tbl`
+    reads it back.
+    """
     count = 0
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         for row in rows:
             handle.write("|".join(_format_cell(v) for v in row) + "|\n")
             count += 1
@@ -346,35 +348,6 @@ def converters_for(relation: str) -> Tuple[Callable[[str], Any], ...]:
     if relation not in COLUMN_TYPES:
         raise UsageError(f"unknown TPC-H relation {relation!r}")
     return tuple(_CONVERTERS[tag] for tag in COLUMN_TYPES[relation])
-
-
-def read_tbl(
-    path: Union[str, Path],
-    converters: Sequence[Callable[[str], Any]],
-) -> Iterator[Tuple[Any, ...]]:
-    """Stream typed rows back out of a ``.tbl`` file."""
-    arity = len(converters)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter="|")
-        for line_number, cells in enumerate(reader, start=1):
-            if cells and cells[-1] == "":  # trailing delimiter
-                cells = cells[:-1]
-            if not cells:
-                continue
-            if len(cells) != arity:
-                raise UsageError(
-                    f"{path}:{line_number}: expected {arity} columns, "
-                    f"got {len(cells)}"
-                )
-            try:
-                yield tuple(
-                    convert(cell)
-                    for convert, cell in zip(converters, cells)
-                )
-            except (TypeError, ValueError) as exc:
-                raise UsageError(
-                    f"{path}:{line_number}: cannot convert row: {exc}"
-                ) from exc
 
 
 # -- conformance sampling ----------------------------------------------------

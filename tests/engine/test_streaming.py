@@ -318,6 +318,99 @@ def test_overlapping_lhs_and_rhs():
         assert len(store.conflict_kernel().facts) == 2
 
 
+def traced(store):
+    """The SQL statements ``store`` runs from now on, as a live list."""
+    statements = []
+    store._connection.set_trace_callback(statements.append)
+    return statements
+
+
+def group_queries(statements, relation):
+    """The statements that run a violating-group query on ``relation``."""
+    return [
+        sql for sql in statements
+        if "HAVING COUNT(*) > 1" in sql and f'"t_{relation}"' in sql
+    ]
+
+
+def test_one_violating_group_query_per_fd_across_conflict_queries():
+    schema = two_relation_schema()
+    with StreamingInstanceStore(schema) as store:
+        store.ingest_rows("R", [(1, "a"), (1, "b"), (2, "c")])
+        store.ingest_rows("S", [(1, 2, 3), (1, 2, 4), (1, 3, 3)])
+        statements = traced(store)
+        pairs = store.conflict_pairs()
+        kernel = store.conflict_kernel()
+        assert not store.is_consistent()
+        assert store.conflict_summary() == {
+            "R: 1 -> 2": 1, "S: {1,2} -> 3": 1
+        }
+        for fd in schema.fds:
+            assert list(store.iter_conflict_facts(fd))
+        assert len(group_queries(statements, "R")) == 1
+        assert len(group_queries(statements, "S")) == 1
+    assert len(pairs) == 2
+    assert kernel.facts == {fact for pair in pairs for fact in pair}
+
+
+def test_a_conflicting_ingest_invalidates_the_probe(store):
+    store.ingest_rows("R", [(1, "a"), (2, "b")])
+    assert store.conflict_pairs() == frozenset()
+    assert not store.conflict_kernel().facts
+    assert store.ingest_rows("R", [(1, "c")]) == 1
+    new, old = Fact("R", (1, "c")), Fact("R", (1, "a"))
+    assert store.conflict_kernel().facts == {new, old}
+    assert store.conflict_pairs() == {frozenset((new, old))}
+    assert store.conflict_summary() == {"R: 1 -> 2": 1}
+
+
+def test_an_all_duplicate_ingest_keeps_the_probe(store):
+    store.ingest_rows("R", [(1, "a"), (1, "b")])
+    kernel = store.conflict_kernel()
+    assert store.ingest_rows("R", [(1, "a"), (1, "b")]) == 0
+    statements = traced(store)
+    assert store.conflict_kernel() == kernel
+    assert store.conflict_pairs()
+    assert group_queries(statements, "R") == []
+
+
+def test_a_write_by_another_store_invalidates_the_probe(tmp_path):
+    path = tmp_path / "store.sqlite"
+    schema = single_fd_schema()
+    with StreamingInstanceStore(schema, path=path) as first:
+        first.ingest_rows("R", [(1, "a"), (2, "b")])
+        assert first.conflict_kernel().facts == frozenset()
+        assert first.is_consistent()
+        with StreamingInstanceStore(schema, path=path) as second:
+            assert second.ingest_rows("R", [(2, "c")]) == 1
+        assert first.conflict_kernel().facts == {
+            Fact("R", (2, "b")), Fact("R", (2, "c"))
+        }
+        assert not first.is_consistent()
+
+
+def test_an_unprobed_consistency_check_builds_no_facts(store):
+    store.ingest_rows("R", [(1, "a"), (1, "b"), (2, "c")])
+    statements = traced(store)
+    assert not store.is_consistent()
+    assert store.conflict_summary() == {"R: 1 -> 2": 1}
+    assert len(group_queries(statements, "R")) == 2
+    assert not [sql for sql in statements if "tags" in sql]
+
+
+def test_key_fds_skip_the_distinct_pass():
+    schema = Schema.parse({"K": 2, "N": 3}, ["K: 1 -> 2", "N: 1 -> 2"])
+    with StreamingInstanceStore(schema) as store:
+        store.ingest_rows("K", [(1, "a"), (1, "b")])
+        store.ingest_rows("N", [(1, "a", 0), (1, "a", 1), (2, "b", 0)])
+        statements = traced(store)
+        assert store.conflict_summary() == {"K: 1 -> 2": 1, "N: 1 -> 2": 0}
+        (key_query,) = group_queries(statements, "K")
+        (non_key_query,) = group_queries(statements, "N")
+    assert "DISTINCT" not in key_query
+    assert "DISTINCT" in non_key_query
+
+
 def test_store_file_is_stamped_with_the_layout_version(tmp_path):
     path = tmp_path / "store.sqlite"
     StreamingInstanceStore(single_fd_schema(), path=path).close()

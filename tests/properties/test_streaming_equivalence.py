@@ -30,7 +30,13 @@ from repro.engine.streaming import StreamingInstanceStore
 from repro.service.fingerprint import fingerprint_instance
 from tests.engine.streaming_reference import ReferenceStreamingStore
 
-SCHEMA = Schema.parse({"R": 2, "S": 3}, ["R: 1 -> 2", "S: {1,2} -> 3"])
+#: ``R`` and ``S`` carry key FDs (the FD spans every attribute), whose
+#: violating groups the store finds without a ``DISTINCT`` pass; ``T``'s
+#: FD leaves attribute 3 out, so its groups need the ``DISTINCT`` query.
+SCHEMA = Schema.parse(
+    {"R": 2, "S": 3, "T": 3}, ["R: 1 -> 2", "S: {1,2} -> 3", "T: 1 -> 2"]
+)
+RELATIONS = ("R", "S", "T")
 
 CHUNK_SIZES = (1, 7, 1000)
 
@@ -62,8 +68,10 @@ COMPARABLE = st.one_of(*_SELF_EQUAL)
 
 
 def rows_of(value):
+    """Row lists for ``R``, ``S`` and ``T``, in :data:`RELATIONS` order."""
     return st.tuples(
         st.lists(st.tuples(value, value), max_size=14),
+        st.lists(st.tuples(value, value, value), max_size=14),
         st.lists(st.tuples(value, value, value), max_size=14),
     )
 
@@ -71,10 +79,20 @@ def rows_of(value):
 ROWS = rows_of(COMPARABLE)
 
 
-def in_memory(r_rows, s_rows) -> Instance:
-    facts = [Fact("R", row) for row in r_rows]
-    facts += [Fact("S", row) for row in s_rows]
-    return Instance(SCHEMA.signature, facts)
+def in_memory(rows) -> Instance:
+    return Instance(
+        SCHEMA.signature,
+        [
+            Fact(relation, row)
+            for relation, relation_rows in zip(RELATIONS, rows)
+            for row in relation_rows
+        ],
+    )
+
+
+def ingest(store, rows) -> None:
+    for relation, relation_rows in zip(RELATIONS, rows):
+        store.ingest_rows(relation, relation_rows)
 
 
 def conflict_pairs_of(index: BitsetConflictIndex):
@@ -86,8 +104,7 @@ def conflict_pairs_of(index: BitsetConflictIndex):
 @given(ROWS)
 @settings(max_examples=60, deadline=None)
 def test_streaming_path_equals_in_memory_path(rows):
-    r_rows, s_rows = rows
-    reference = in_memory(r_rows, s_rows)
+    reference = in_memory(rows)
     reference_index = BitsetConflictIndex(SCHEMA, reference)
     reference_interner = FactInterner(reference)
     reference_fingerprint = fingerprint_instance(reference)
@@ -96,8 +113,7 @@ def test_streaming_path_equals_in_memory_path(rows):
         with StreamingInstanceStore(
             SCHEMA, chunk_size=chunk_size
         ) as store:
-            store.ingest_rows("R", r_rows)
-            store.ingest_rows("S", s_rows)
+            ingest(store, rows)
 
             assert store.fact_count() == len(reference.facts)
             materialized = store.to_instance()
@@ -128,14 +144,12 @@ def test_streaming_path_equals_in_memory_path(rows):
 @given(ROWS, st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_checker_verdicts_agree_across_paths(rows, seed):
-    r_rows, s_rows = rows
-    reference = in_memory(r_rows, s_rows)
+    reference = in_memory(rows)
     for chunk_size in CHUNK_SIZES:
         with StreamingInstanceStore(
             SCHEMA, chunk_size=chunk_size
         ) as store:
-            store.ingest_rows("R", r_rows)
-            store.ingest_rows("S", s_rows)
+            ingest(store, rows)
             materialized = store.to_instance()
 
         # A deterministic candidate: keep the str-least fact of every
@@ -177,23 +191,24 @@ def typed_facts(facts):
 @given(rows_of(VALUE))
 @settings(max_examples=80, deadline=None)
 def test_native_store_equals_dual_encoding_reference(rows):
-    r_rows, s_rows = rows
     for chunk_size in CHUNK_SIZES:
         with StreamingInstanceStore(
             SCHEMA, chunk_size=chunk_size
         ) as store, ReferenceStreamingStore(
             SCHEMA, chunk_size=chunk_size
         ) as reference:
-            for relation, relation_rows in (("R", r_rows), ("S", s_rows)):
+            for relation, relation_rows in zip(RELATIONS, rows):
                 assert store.ingest_rows(
                     relation, relation_rows
                 ) == reference.ingest_rows(relation, relation_rows)
 
             assert store.fact_count() == reference.fact_count()
-            for relation in ("R", "S"):
+            for relation in RELATIONS:
                 assert list(map(typed, store.iter_rows(relation))) == list(
                     map(typed, reference.iter_rows(relation))
                 )
+            # Counted in SQL before the first conflict query, read from
+            # the conflict probe after it: both must match the oracle.
             assert store.conflict_summary() == reference.conflict_summary()
             assert typed_facts(store.conflict_kernel().facts) == typed_facts(
                 reference.conflict_kernel().facts
@@ -205,6 +220,7 @@ def test_native_store_equals_dual_encoding_reference(rows):
                 frozenset(map(typed_fact, pair))
                 for pair in reference.conflict_pairs()
             }
+            assert store.conflict_summary() == reference.conflict_summary()
             assert list(
                 map(typed_fact, store.build_interner(kernel_only=False).facts)
             ) == list(map(typed_fact, reference.build_interner().facts))

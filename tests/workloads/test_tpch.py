@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.classification import classify_schema
 from repro.core.interning import FactInterner
-from repro.engine.streaming import StreamingInstanceStore
+from repro.engine.streaming import StreamingInstanceStore, fact_sort_key
 from repro.exceptions import UsageError
 from repro.workloads.injection import inject_violations, tiered_prioritizing
 from repro.workloads.tpch import (
@@ -17,7 +17,6 @@ from repro.workloads.tpch import (
     converters_for,
     generate_tables,
     iter_relation,
-    read_tbl,
     sample_conflict_neighborhoods,
     table_sizes,
     tpch_schema,
@@ -142,8 +141,16 @@ def test_tbl_roundtrip_is_typed_identity(relation, tmp_path):
     rows = list(iter_relation(relation, 0.002, seed=9))
     path = tmp_path / f"{relation}.tbl"
     assert write_tbl(rows, path) == len(rows)
-    back = list(read_tbl(path, converters_for(relation)))
-    assert back == rows
+    with StreamingInstanceStore(tpch_schema()) as store:
+        assert store.ingest_tbl(
+            relation, path, converters_for(relation)
+        ) == len(rows)
+        back = list(store.iter_rows(relation))
+    expected = sorted(rows, key=lambda row: fact_sort_key(relation, row))
+    assert back == expected
+    assert [tuple(map(type, row)) for row in back] == [
+        tuple(map(type, row)) for row in expected
+    ]
 
 
 def test_tbl_files_are_byte_identical_across_runs(tmp_path):
@@ -153,11 +160,14 @@ def test_tbl_files_are_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_read_tbl_rejects_ragged_rows(tmp_path):
-    path = tmp_path / "bad.tbl"
-    path.write_text("1|x|\n2|y|extra|\n")
-    with pytest.raises(UsageError):
-        list(read_tbl(path, (int, str)))
+def test_tbl_files_are_utf8_and_read_back(tmp_path):
+    path = tmp_path / "region.tbl"
+    rows = [(0, "Åland ✓"), (1, 'q"e')]
+    write_tbl(rows, path)
+    assert path.read_bytes().decode("utf-8") == '0|Åland ✓|\n1|q"e|\n'
+    with StreamingInstanceStore(tpch_schema()) as store:
+        store.ingest_tbl("region", path, converters_for("region"))
+        assert sorted(store.iter_rows("region")) == rows
 
 
 def _injected_prioritizing(rate=0.08, seed=11):
